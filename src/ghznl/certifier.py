@@ -14,10 +14,9 @@ from enum import Enum
 from typing import Optional
 
 from . import oracle as povm_oracle
-from .graphs import PartitionGraph, build_graph, build_path_graph, connected_components
+from .graphs import build_graph, build_path_graph, connected_components
 from .oracle import OracleVerdict, ResourceGuardError
 from .state_model import (
-    DEFAULT_TOL,
     Partition,
     StateSet,
     check_mutual_orthogonality,
@@ -102,12 +101,12 @@ class CertReport:
     notes: list[str] = field(default_factory=list)
 
 
-def check_hypotheses(S: StateSet, tol: float = DEFAULT_TOL) -> HypothesisResults:
+def check_hypotheses(S: StateSet) -> HypothesisResults:
     return HypothesisResults(
         special_set_offenders=check_special_set(S),
-        orthogonality_violations=check_mutual_orthogonality(S, tol),
+        orthogonality_violations=check_mutual_orthogonality(S),
         plane_witness=check_plane_containing(S),
-        entanglement_failures=genuine_entanglement_census(S, tol),
+        entanglement_failures=genuine_entanglement_census(S),
     )
 
 
@@ -120,9 +119,9 @@ def _analyze_partitions(S: StateSet) -> dict[Partition, PartitionAnalysis]:
     return out
 
 
-def certify_via_graphs(S: StateSet, tol: float = DEFAULT_TOL) -> CertReport:
+def certify_via_graphs(S: StateSet) -> CertReport:
     """Apply the connectivity criterion and report the certificate."""
-    hyp = check_hypotheses(S, tol)
+    hyp = check_hypotheses(S)
     parts = _analyze_partitions(S)
     all_connected = all(a.full_connected for a in parts.values())
     notes: list[str] = []
@@ -161,7 +160,6 @@ def certify(
     S: StateSet,
     method: str = "both",
     exact: Optional[bool] = None,
-    tol: float = DEFAULT_TOL,
     guard: int = povm_oracle.RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
 ) -> CertReport:
@@ -174,7 +172,7 @@ def certify(
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
-    report = certify_via_graphs(S, tol)
+    report = certify_via_graphs(S)
     want_oracle = method in ("oracle", "both") or report.verdict in (
         Verdict.INCONCLUSIVE,
         Verdict.HYPOTHESES_VIOLATED,
@@ -185,8 +183,7 @@ def certify(
         # orthogonality violations are already reported in the hypotheses;
         # the oracle then constrains only the pairs that are orthogonal
         results = povm_oracle.oracle_all(
-            S, exact=exact, tol=tol, guard=guard, force=force,
-            nonorthogonal="skip",
+            S, exact=exact, guard=guard, force=force, nonorthogonal="skip",
         )
         skipped = sum(r.skipped_pairs for r in results.values())
         if skipped:

@@ -21,7 +21,7 @@ from .oracle import (
     ResourceGuardError,
     build_constraints,
     dump_system,
-    oracle_verdict,
+    nullspace,
 )
 from .state_model import (
     Partition,
@@ -175,25 +175,24 @@ def cmd_oracle(args) -> int:
     all_trivial = True
     try:
         for p in _partitions(args.partition):
+            cs = build_constraints(
+                S, p, exact=exact, force=args.force, nonorthogonal="skip"
+            )
             if args.dump_system is not None:
-                cs = build_constraints(
-                    S, p, exact=exact, force=args.force, nonorthogonal="skip"
-                )
                 path = Path(f"{args.dump_system}_{p.value}.txt")
                 path.write_text(dump_system(cs), encoding="utf-8")
                 print(f"wrote {path}", file=sys.stderr)
-            r = oracle_verdict(
-                S, p, exact=exact, force=args.force, nonorthogonal="skip"
-            )
-            verdict = "trivial-only" if r.trivial_only else "nontrivial-exists"
-            mode = "exact" if r.exact else f"float(tol={r.tolerance})"
-            warn = " WARNING: borderline pivots" if r.warning else ""
+            ns = nullspace(cs)
+            trivial_only = ns.dimension == 1
+            verdict = "trivial-only" if trivial_only else "nontrivial-exists"
+            mode = "exact" if ns.exact else f"float(tol={ns.tolerance})"
+            warn = " WARNING: borderline pivots" if ns.warning else ""
             print(
-                f"cut {r.partition.value}: dim={r.dimension} {verdict} "
-                f"identity={'yes' if r.contains_identity else 'no'} "
+                f"cut {p.value}: dim={ns.dimension} {verdict} "
+                f"identity={'yes' if ns.contains_identity else 'no'} "
                 f"mode={mode}{warn}"
             )
-            all_trivial = all_trivial and r.trivial_only
+            all_trivial = all_trivial and trivial_only
     except ResourceGuardError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE

@@ -11,24 +11,19 @@ are then valid nontrivial POVM elements.
 
 Normalization factors 1/sqrt(w) are dropped from the rows (they scale
 homogeneous equations), which keeps the exact path inside Gaussian rationals
-whenever every tuple weight divides 4.
+whenever every tuple weight divides 4.  A pair's row applied to E = I is the
+pair's unscaled overlap, so the row's trace also tells whether the pair is
+orthogonal at all; no separate orthogonality pass is needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from .arithmetic import GR_ONE, GaussianRational
-from .state_model import (
-    DEFAULT_TOL,
-    Coefficient,
-    Partition,
-    StateSet,
-    check_mutual_orthogonality,
-    expand_set,
-)
+from .arithmetic import DEFAULT_TOL, GR_ONE, Coefficient, SparseEliminator
+from .state_model import Partition, StateSet, expand_set
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
 
@@ -60,18 +55,18 @@ def build_constraints(
     S: StateSet,
     p: Partition,
     exact: Optional[bool] = None,
-    tol: float = DEFAULT_TOL,
     guard: int = RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
     nonorthogonal: str = "reject",
 ) -> ConstraintSystem:
     """One row per ordered pair of distinct, mutually orthogonal states of S.
 
-    A non-orthogonal pair carries no orthogonality to preserve, so it never
-    produces a row.  By default a set with any such pair is rejected outright;
-    nonorthogonal='skip' proceeds and records how many ordered pairs were
-    skipped (needed for the even-d family at d = 4, whose published kets
-    collide and break orthogonality).
+    A non-orthogonal pair carries no orthogonality to preserve, so its row is
+    dropped; the pair is found from that row's trace (its overlap).  By
+    default a set with any such pair is rejected; nonorthogonal='skip'
+    proceeds and records how many ordered pairs were skipped (needed for the
+    even-d family at d = 4, whose published kets collide and break
+    orthogonality).
     """
     if nonorthogonal not in ("reject", "skip"):
         raise ValueError(f"nonorthogonal must be 'reject' or 'skip'")
@@ -84,13 +79,6 @@ def build_constraints(
             f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
             f"{guard}; pass force/--force to proceed"
         )
-    violations = check_mutual_orthogonality(S, tol)
-    if violations and nonorthogonal == "reject":
-        raise ValueError(
-            f"state set is not mutually orthogonal (first violations: "
-            f"{violations[:5]})"
-        )
-    bad_pairs = {(a, b) for a, b in violations} | {(b, a) for a, b in violations}
     states = expand_set(S, exact=exact)
     P = da * db
     # per state: cut coordinate -> [(joint kept index, coefficient)]
@@ -103,13 +91,11 @@ def build_constraints(
             m.setdefault(ket[axis], []).append((ket[ka] * db + ket[kb], c))
         by_cut.append(m)
     rows: list[dict[int, Coefficient]] = []
+    violations: list[tuple[int, int]] = []
     skipped = 0
     for a, phi in enumerate(by_cut):
         for b, psi in enumerate(by_cut):
             if a == b:
-                continue
-            if (a, b) in bad_pairs:
-                skipped += 1
                 continue
             row: dict[int, Coefficient] = {}
             for x, left in phi.items():
@@ -123,126 +109,38 @@ def build_constraints(
                         v = cc * cb
                         prev = row.get(u)
                         row[u] = v if prev is None else prev + v
+            if _overlaps(row, P, states[a].scale * states[b].scale, exact):
+                skipped += 1
+                if a < b:
+                    violations.append((a, b))
+                continue
             rows.append({u: v for u, v in row.items() if v})
+    if violations and nonorthogonal == "reject":
+        raise ValueError(
+            f"state set is not mutually orthogonal (first violations: "
+            f"{violations[:5]})"
+        )
     return ConstraintSystem(p, (da, db), len(states), rows, exact, skipped)
 
 
-class SparseEliminator:
-    """Incremental reduced row echelon form over sparse rows.
+def _overlaps(
+    row: dict[int, Coefficient], side: int, scale: int, exact: bool
+) -> bool:
+    """True iff the pair behind row is not orthogonal.
 
-    Pivot rows never contain other pivot columns (full back-substitution), so
-    reducing an incoming row terminates after at most two sweeps.
+    The row's trace (its coefficients on the diagonal unknowns k*(side+1))
+    is the pair's unscaled overlap; scale is the product of the two weights,
+    and the float test is the one states_orthogonal applies.
     """
-
-    def __init__(self, exact: bool, tol: float = DEFAULT_TOL):
-        self.exact = exact
-        self.tol = tol
-        self.pivots: dict[int, dict[int, Coefficient]] = {}
-        self._col_index: dict[int, set[int]] = {}
-        self.warning = False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _zero(self, v: Coefficient, thresh: float) -> bool:
-        if self.exact:
-            return not v
-        return abs(v) <= thresh
-
-    def add_row(self, row: dict[int, Coefficient]) -> None:
-        row = dict(row)
-        thresh = 0.0
-        if not self.exact and row:
-            thresh = self.tol * max(1.0, max(abs(v) for v in row.values()))
-        while True:
-            hit = [c for c in row if c in self.pivots]
-            if not hit:
-                break
-            for c in hit:
-                f = row.pop(c, None)
-                if f is None or self._zero(f, thresh):
-                    continue
-                for col, v in self.pivots[c].items():
-                    if col == c:
-                        continue
-                    cur = row.get(col)
-                    nv = -(f * v) if cur is None else cur - f * v
-                    if self._zero(nv, thresh):
-                        row.pop(col, None)
-                    else:
-                        row[col] = nv
-        if not self.exact:
-            dropped = [v for v in row.values() if abs(v) <= thresh]
-            if any(abs(v) > thresh / 10 for v in dropped):
-                self.warning = True
-            row = {c: v for c, v in row.items() if abs(v) > thresh}
-        else:
-            row = {c: v for c, v in row.items() if v}
-        if not row:
-            return
-        if self.exact:
-            pc = min(row)
-        else:
-            pc = max(row, key=lambda c: abs(row[c]))
-            if abs(row[pc]) < 10 * thresh:
-                self.warning = True
-        piv = row.pop(pc)
-        one = piv / piv
-        newrow = {pc: one}
-        newrow.update({col: v / piv for col, v in row.items()})
-        # back-substitute into existing pivot rows containing pc
-        for p in list(self._col_index.get(pc, ())):
-            prow = self.pivots[p]
-            f = prow.pop(pc)
-            self._col_index[pc].discard(p)
-            for col, v in newrow.items():
-                if col == pc:
-                    continue
-                cur = prow.get(col)
-                nv = -(f * v) if cur is None else cur - f * v
-                if self._zero(nv, thresh):
-                    if cur is not None:
-                        prow.pop(col)
-                        self._col_index[col].discard(p)
-                else:
-                    if cur is None:
-                        self._col_index.setdefault(col, set()).add(p)
-                    prow[col] = nv
-        self.pivots[pc] = newrow
-        for col in newrow:
-            if col != pc:
-                self._col_index.setdefault(col, set()).add(pc)
-
-    def residuals_zero(self, vec: dict[int, Coefficient]) -> bool:
-        """True iff the vector satisfies every reduced equation."""
-        for pc, prow in self.pivots.items():
-            total = None
-            for col, v in prow.items():
-                x = vec.get(col)
-                if x is None:
-                    continue
-                term = v * x
-                total = term if total is None else total + term
-            if total is None:
-                continue
-            if self.exact:
-                if total:
-                    return False
-            elif abs(total) > self.tol * max(1.0, len(prow)):
-                return False
-        return True
-
-    def nullspace_basis(self, n_unknowns: int) -> list[dict[int, Coefficient]]:
-        basis = []
-        for f in range(n_unknowns):
-            if f in self.pivots:
-                continue
-            vec: dict[int, Coefficient] = {f: GR_ONE if self.exact else 1 + 0j}
-            for pc in self._col_index.get(f, ()):
-                vec[pc] = -self.pivots[pc][f]
-            basis.append(vec)
-        return basis
+    trace = None
+    for u, v in row.items():
+        if u % (side + 1) == 0:
+            trace = v if trace is None else trace + v
+    if trace is None:
+        return False
+    if exact:
+        return bool(trace)
+    return abs(trace) / math.sqrt(scale) > DEFAULT_TOL
 
 
 @dataclass
@@ -259,7 +157,8 @@ class NullspaceResult:
     _eliminator: Optional[SparseEliminator] = field(default=None, repr=False)
 
     def in_nullspace(self, vec: dict[int, Coefficient]) -> bool:
-        assert self._eliminator is not None
+        if self._eliminator is None:
+            raise ValueError("NullspaceResult was built without an eliminator")
         return self._eliminator.residuals_zero(vec)
 
 
@@ -279,11 +178,9 @@ def dagger_vector(
     return out
 
 
-def nullspace(
-    cs: ConstraintSystem, tol: float = DEFAULT_TOL, with_basis: bool = False
-) -> NullspaceResult:
+def nullspace(cs: ConstraintSystem, with_basis: bool = False) -> NullspaceResult:
     """Dimension (and optionally a basis) of the solution space of cs."""
-    elim = SparseEliminator(cs.exact, tol)
+    elim = SparseEliminator(cs.exact)
     for row in cs.rows:
         elim.add_row(row)
     dim = cs.n_unknowns - elim.rank
@@ -294,7 +191,7 @@ def nullspace(
         n_unknowns=cs.n_unknowns,
         contains_identity=elim.residuals_zero(ident),
         exact=cs.exact,
-        tolerance=None if cs.exact else tol,
+        tolerance=None if cs.exact else DEFAULT_TOL,
         warning=elim.warning,
         side=cs.side,
         _eliminator=elim,
@@ -322,17 +219,15 @@ def oracle_verdict(
     S: StateSet,
     p: Partition,
     exact: Optional[bool] = None,
-    tol: float = DEFAULT_TOL,
     guard: int = RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
     nonorthogonal: str = "reject",
 ) -> OracleVerdict:
     """trivial-only iff the constraint nullspace is exactly span(identity)."""
     cs = build_constraints(
-        S, p, exact=exact, tol=tol, guard=guard, force=force,
-        nonorthogonal=nonorthogonal,
+        S, p, exact=exact, guard=guard, force=force, nonorthogonal=nonorthogonal
     )
-    ns = nullspace(cs, tol=tol)
+    ns = nullspace(cs)
     return OracleVerdict(
         partition=p,
         dimension=ns.dimension,
@@ -350,7 +245,6 @@ def oracle_verdict(
 def oracle_all(
     S: StateSet,
     exact: Optional[bool] = None,
-    tol: float = DEFAULT_TOL,
     guard: int = RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
     nonorthogonal: str = "reject",
@@ -358,7 +252,7 @@ def oracle_all(
     """Strongest-nonlocal overall iff every partition reports trivial-only."""
     return {
         p: oracle_verdict(
-            S, p, exact=exact, tol=tol, guard=guard, force=force,
+            S, p, exact=exact, guard=guard, force=force,
             nonorthogonal=nonorthogonal,
         )
         for p in Partition

@@ -14,13 +14,16 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
-from .arithmetic import GaussianRational, exact_weight, root_of_unity
-
-DEFAULT_TOL = 1e-9
-
-Coefficient = Union[GaussianRational, complex]
+from .arithmetic import (
+    DEFAULT_TOL,
+    Coefficient,
+    GaussianRational,
+    SparseEliminator,
+    exact_weight,
+    root_of_unity,
+)
 
 
 class StateSetFormatError(ValueError):
@@ -76,9 +79,6 @@ class Partition(Enum):
         a, b = self.kept_axes
         t = dims.as_tuple()
         return (t[a], t[b])
-
-    def cut_dim(self, dims: SystemDims) -> int:
-        return dims.as_tuple()[self.cut_axis]
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,11 @@ class StateVector:
             return total
         return sum(abs(c) ** 2 for c in self.coeffs.values())
 
-    def is_normalized(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_normalized(self) -> bool:
         num = self.squared_norm_numerator()
         if self.exact:
             return num == self.scale
-        return abs(num / self.scale - 1.0) <= tol
+        return abs(num / self.scale - 1.0) <= DEFAULT_TOL
 
 
 def expand_tuple(
@@ -228,24 +228,20 @@ def inner_product(s1: StateVector, s2: StateVector) -> complex:
     return complex(num) / math.sqrt(s1.scale * s2.scale)
 
 
-def states_orthogonal(
-    s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL
-) -> bool:
+def states_orthogonal(s1: StateVector, s2: StateVector) -> bool:
     num = overlap_numerator(s1, s2)
     if s1.exact and s2.exact:
         return not bool(num)
-    return abs(complex(num)) / math.sqrt(s1.scale * s2.scale) <= tol
+    return abs(complex(num)) / math.sqrt(s1.scale * s2.scale) <= DEFAULT_TOL
 
 
-def check_mutual_orthogonality(
-    S: StateSet, tol: float = DEFAULT_TOL
-) -> list[tuple[int, int]]:
+def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     """Indices (in expansion order) of non-orthogonal state pairs; empty = pass."""
     states = expand_set(S)
     bad = []
     for a in range(len(states)):
         for b in range(a + 1, len(states)):
-            if not states_orthogonal(states[a], states[b], tol):
+            if not states_orthogonal(states[a], states[b]):
                 bad.append((a, b))
     return bad
 
@@ -294,43 +290,9 @@ def check_special_set(S: StateSet) -> list[int]:
     return [i for i, t in enumerate(S.tuples) if not t.is_coordinately_different()]
 
 
-def _matrix_rank_at_least_2(rows: dict[int, dict[int, Coefficient]], exact: bool,
-                            tol: float) -> bool:
-    """Rank >= 2 for a sparse matrix given as row -> {col: value}."""
-    pivot_rows: list[dict[int, Coefficient]] = []
-    for row in rows.values():
-        row = dict(row)
-        for prow in pivot_rows:
-            pc = next(iter(prow))
-            if pc in row:
-                f = row.pop(pc)
-                for c, v in prow.items():
-                    if c == pc:
-                        continue
-                    nv = row.get(c, None)
-                    nv = (nv - f * v) if nv is not None else -(f * v)
-                    if (not nv) if exact else abs(complex(nv)) <= tol:
-                        row.pop(c, None)
-                    else:
-                        row[c] = nv
-        if exact:
-            row = {c: v for c, v in row.items() if v}
-        else:
-            row = {c: v for c, v in row.items() if abs(complex(v)) > tol}
-        if row:
-            pc = min(row)
-            piv = row[pc]
-            prow = {pc: piv / piv}
-            prow.update({c: v / piv for c, v in row.items() if c != pc})
-            pivot_rows.append(prow)
-            if len(pivot_rows) >= 2:
-                return True
-    return False
-
-
-def check_genuine_entanglement(s: StateVector, tol: float = DEFAULT_TOL) -> bool:
+def check_genuine_entanglement(s: StateVector) -> bool:
     """True iff the Schmidt rank is >= 2 across all three bipartitions."""
-    if not s.is_normalized(tol):
+    if not s.is_normalized():
         raise ValueError("check_genuine_entanglement requires a normalized state")
     for p in Partition:
         axis = p.cut_axis
@@ -340,19 +302,22 @@ def check_genuine_entanglement(s: StateVector, tol: float = DEFAULT_TOL) -> bool
         for ket, c in s.coeffs.items():
             col = ket[kept[0]] * d_y + ket[kept[1]]
             rows.setdefault(ket[axis], {})[col] = c
-        if not _matrix_rank_at_least_2(rows, s.exact, tol):
+        elim = SparseEliminator(s.exact)
+        for row in rows.values():
+            elim.add_row(row)
+            if elim.rank >= 2:
+                break
+        if elim.rank < 2:
             return False
     return True
 
 
-def genuine_entanglement_census(
-    S: StateSet, tol: float = DEFAULT_TOL
-) -> list[int]:
+def genuine_entanglement_census(S: StateSet) -> list[int]:
     """Indices (expansion order) of states failing genuine entanglement."""
     return [
         idx
         for idx, s in enumerate(expand_set(S))
-        if not check_genuine_entanglement(s, tol)
+        if not check_genuine_entanglement(s)
     ]
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ghznl import cli
 from ghznl.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INVALID,
@@ -194,6 +195,26 @@ class TestOracle:
         dump = (tmp_path / "sys_A.txt").read_text()
         assert dump.startswith("# partition=A")
         assert "unknowns=81" in dump
+
+    def test_dump_system_builds_each_cut_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        original = cli.build_constraints
+
+        def spy(S, p, **kwargs):
+            built.append(p.value)
+            return original(S, p, **kwargs)
+
+        monkeypatch.setattr(cli, "build_constraints", spy)
+        code, out, _ = run(
+            capsys,
+            "oracle", "--construction", "c333",
+            "--dump-system", str(tmp_path / "sys"),
+        )
+        assert code == EXIT_STRONGEST
+        assert built == ["A", "B", "C"]
+        for cut, line in zip("ABC", out.strip().splitlines()):
+            assert line.startswith(f"cut {cut}: dim=1 trivial-only")
+            assert (tmp_path / f"sys_{cut}.txt").exists()
 
 
 class TestParser:

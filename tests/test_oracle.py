@@ -8,6 +8,7 @@ from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.oracle import (
     RESOURCE_GUARD_UNKNOWNS,
     ConstraintSystem,
+    NullspaceResult,
     ResourceGuardError,
     SparseEliminator,
     build_constraints,
@@ -158,6 +159,14 @@ class TestNullspace:
         assert set(vec) <= diag
         vals = set(vec.values())
         assert len(vals) == 1
+
+    def test_in_nullspace_without_eliminator_raises(self):
+        ns = NullspaceResult(
+            dimension=16, rank=0, n_unknowns=16, contains_identity=True,
+            exact=True, tolerance=None, warning=False, side=4,
+        )
+        with pytest.raises(ValueError, match="without an eliminator"):
+            ns.in_nullspace(identity_vector(4, exact=True))
 
     def test_closure_under_dagger(self):
         ns = nullspace(build_constraints(PAIR222, Partition.A), with_basis=True)

@@ -1,0 +1,37 @@
+"""The library imports nothing outside the standard library and itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+import ghznl
+
+SOURCES = sorted(Path(ghznl.__file__).parent.glob("*.py"))
+
+
+def imported_modules(tree: ast.AST) -> list[str]:
+    """Top-level names of absolute imports; relative imports are skipped."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "oracle.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_relative(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    outside = [
+        name
+        for name in imported_modules(tree)
+        if name != "ghznl" and name not in sys.stdlib_module_names
+    ]
+    assert outside == []

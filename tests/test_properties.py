@@ -11,6 +11,7 @@ from ghznl.state_model import (
     Partition,
     StateSet,
     SystemDims,
+    check_mutual_orthogonality,
     expand_set,
     inner_product,
     parse_state_set,
@@ -51,6 +52,41 @@ def state_sets(draw, max_tuples=3, weights=(2,)):
         kets = (Ket(0, 0, 0), Ket(1, 1, 1))
         tuples.append(GhzTuple(2, kets))
     return StateSet(dims, tuple(tuples))
+
+
+@st.composite
+def overlapping_sets(draw, max_tuples=3):
+    """Small sets whose tuples may share kets, so pairs of states from
+    different tuples can be non-orthogonal; weight 3 forces float mode."""
+    dims = SystemDims(*(draw(st.integers(2, 4)) for _ in range(3)))
+    kets = st.builds(
+        Ket,
+        st.integers(0, dims.d1 - 1),
+        st.integers(0, dims.d2 - 1),
+        st.integers(0, dims.d3 - 1),
+    )
+    weights = [w for w in (2, 3, 4) if w <= min(dims.as_tuple())]
+    tuples = []
+    for _ in range(draw(st.integers(1, max_tuples))):
+        w = draw(st.sampled_from(weights))
+        members = draw(st.lists(kets, min_size=w, max_size=w, unique=True))
+        tuples.append(GhzTuple(w, tuple(members)))
+    return StateSet(dims, tuple(tuples))
+
+
+@settings(**SETTINGS)
+@given(overlapping_sets())
+def test_row_trace_finds_exactly_the_non_orthogonal_pairs(S):
+    violations = check_mutual_orthogonality(S)
+    for exact in (None, False):
+        for p in Partition:
+            cs = build_constraints(S, p, exact=exact, nonorthogonal="skip")
+            assert cs.skipped_pairs == 2 * len(violations)
+            if violations:
+                with pytest.raises(ValueError, match="not mutually orthogonal"):
+                    build_constraints(S, p, exact=exact)
+            else:
+                build_constraints(S, p, exact=exact)
 
 
 @settings(**SETTINGS)

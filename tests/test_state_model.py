@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -189,6 +190,25 @@ class TestGenuineEntanglement:
         s = expand_tuple(
             ghz_pair((3, 3, 3), (2, 3, 3)), SystemDims(4, 4, 4)
         )[0]
+        assert not check_genuine_entanglement(s)
+
+    def test_weight3_ghz_state_float(self):
+        t = GhzTuple(3, (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2)))
+        states = expand_tuple(t, D3)
+        assert not any(s.exact for s in states)
+        assert all(check_genuine_entanglement(s) for s in states)
+
+    def test_complex_state_factorizes_across_cut_c_float(self):
+        # (|00> + w|11>)_AB x (|0> + i|1>)_C / 2 with w = exp(2 pi i / 3):
+        # Schmidt rank 2 on cuts A and B, 1 on cut C
+        w = cmath.exp(2j * cmath.pi / 3)
+        coeffs = {
+            Ket(a, a, c): (1 if a == 0 else w) * (1 if c == 0 else 1j)
+            for a in (0, 1)
+            for c in (0, 1)
+        }
+        s = StateVector(D3, coeffs, scale=4, exact=False)
+        assert s.is_normalized()
         assert not check_genuine_entanglement(s)
 
     def test_unnormalized_rejected(self):
