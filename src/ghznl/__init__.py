@@ -1,6 +1,5 @@
 """Strongest-nonlocality certification for tripartite GHZ-like state sets."""
 
-from .arithmetic import GaussianRational
 from .certifier import CertReport, Verdict, certify, certify_via_graphs, check_hypotheses
 from .constructions import build, c333, c345, c444_weight4, even_d, odd_d
 from .graphs import (

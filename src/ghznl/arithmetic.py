@@ -1,224 +1,184 @@
-"""Number types and the one linear eliminator over them.
+"""The one exact arithmetic: integers modulo a proven prime p.
 
-State amplitudes for tuples whose weight divides 4 only ever involve the
-fourth roots of unity {1, i, -1, -i}, so every coefficient that appears in an
-orthogonality or nullspace computation is a complex number with rational real
-and imaginary parts.  This module provides that number type; anything with
-other roots of unity falls back to ordinary ``complex``, compared against the
-fixed tolerance DEFAULT_TOL.  SparseEliminator reduces sparse rows of either
-kind; the nullspace oracle and the Schmidt-rank check both use it.
+Every coefficient ghznl meets is a sum of roots of unity: a state's
+amplitudes are powers of omega_w = exp(2*pi*i/w), so overlaps, constraint
+rows and 2x2 minors all lie in Z[zeta_L] for L the lcm of the root orders in
+play.  prime_field picks a prime p = 1 (mod L) together with a primitive L-th
+root r of unity mod p; then zeta_L -> r is a ring map Z[zeta_L] -> F_p, and
+every decision runs over F_p:
+
+* Rank can only drop under a ring map, so rank mod p <= true rank and
+  nullity mod p >= true nullity.  A nullity of 1 mod p therefore certifies
+  that the true nullity is 1 as well (it is at least 1: the identity always
+  solves the oracle's system), for every weight.
+* A nonzero sum alpha of at most B roots of unity of order dividing M has
+  |N(alpha)| <= B^phi(M), N the norm of Q(zeta_M), because each of its
+  phi(M) Galois conjugates has absolute value at most B.  For M | L the
+  kernel of the ring map meets Z[zeta_M] in a prime over p, so alpha = 0
+  mod p would need p to divide the nonzero integer N(alpha): any
+  p > B^phi(M) (norm_bound) decides alpha == 0 exactly.  Overlaps (B = the
+  number of shared kets) and 2x2 minors of a state's cut matrix (B = 2) are
+  such sums, so orthogonality and Schmidt rank are exact tests, not
+  heuristics.
+* A nullity above 1 is the F_p nullity.  It equals the true nullity unless p
+  divides the norm of every nonzero maximal minor of the system; p >= 2^61
+  keeps that unlikely, but such a verdict is not re-checked here.
+
+SparseEliminator reduces sparse rows of residues; the nullspace oracle and
+the Schmidt-rank check both use it.
 """
 
 from __future__ import annotations
 
-import cmath
-from fractions import Fraction
-from typing import Union
+from functools import lru_cache
 
-Rational = Union[int, Fraction]
-
-DEFAULT_TOL = 1e-9
+MIN_PRIME = 1 << 61
 
 
-class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Rational = 0, im: Rational = 0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division (n is small)."""
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
-Coefficient = Union[GaussianRational, complex]
-
-GR_ONE = GaussianRational(1, 0)
-
-_I_POWERS = (
-    GaussianRational(1, 0),
-    GaussianRational(0, 1),
-    GaussianRational(-1, 0),
-    GaussianRational(0, -1),
-)
+def _euler_phi(n: int) -> int:
+    for q in _prime_factors(n):
+        n = n // q * (q - 1)
+    return n
 
 
-def i_power(k: int) -> GaussianRational:
-    """i**k as an exact Gaussian rational."""
-    return _I_POWERS[k % 4]
+def norm_bound(order: int, terms: int) -> int:
+    """Bound on |N(alpha)| for a nonzero sum alpha of at most `terms` roots
+    of unity whose orders divide `order`; at least 2, the bound for minors."""
+    return max(2, terms) ** _euler_phi(order)
 
 
-def exact_weight(w: int) -> bool:
-    """True when the w-th roots of unity are Gaussian rationals (w | 4)."""
-    return w >= 1 and 4 % w == 0
+def _proth_prime(k: int, n: int) -> bool:
+    """Proth's theorem: p = k*2^n + 1 with k odd and k < 2^n is prime iff
+    some a has a^((p-1)/2) = -1 (mod p).  A False may only mean that no
+    witness was found among the small bases tried."""
+    p = (k << n) + 1
+    for a in range(3, 64):
+        x = pow(a, p >> 1, p)
+        if x == p - 1:
+            return True
+        if x != 1:
+            return False
+    return False
 
 
-def root_of_unity(w: int, exponent: int, exact: bool):
-    """exp(2*pi*1j*exponent/w), exact when requested (requires w | 4)."""
-    if exact:
-        if not exact_weight(w):
-            raise ValueError(f"weight {w} has no Gaussian-rational roots of unity")
-        return i_power((4 // w) * exponent)
-    return cmath.exp(2j * cmath.pi * exponent / w)
+@lru_cache(maxsize=None)
+def prime_field(order: int, bound: int) -> tuple[int, int]:
+    """(p, r): a prime p = 1 (mod order) with p >= 2^61 and p > bound, and
+    a primitive order-th root of unity r mod p.
+
+    p = k*2^n + 1 is the first Proth prime, in increasing k, with order | p-1
+    and 2^(2n) a little above the bound; a Proth witness proves it prime.
+    r is g^((p-1)/order) for the least g >= 2 with r^(order/q) != 1 for
+    every prime q dividing order.
+    """
+    odd, twos = order, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    low = max(MIN_PRIME, bound + 1)
+    n = max(twos, (low.bit_length() + 3) // 2)
+    while True:
+        # k runs over the odd multiples of `odd` with k*2^n + 1 >= low
+        kmin = -(-(low - 1) >> n)
+        k = odd + max(0, -(-(kmin - odd) // (2 * odd))) * 2 * odd
+        while k < (1 << n):
+            if _proth_prime(k, n):
+                p = (k << n) + 1
+                qs = _prime_factors(order)
+                for g in range(2, p):
+                    r = pow(g, (p - 1) // order, p)
+                    if all(pow(r, order // q, p) != 1 for q in qs):
+                        return p, r
+            k += 2 * odd
+        n += 1
 
 
 class SparseEliminator:
-    """Incremental reduced row echelon form over sparse rows.
+    """Incremental reduced row echelon form over sparse rows of residues mod p.
 
-    Pivot rows never contain other pivot columns (full back-substitution), so
-    reducing an incoming row terminates after at most two sweeps.
+    Rows map a column to a nonzero residue in [0, p).  The pivot of a new row
+    is its least column and every pivot row is scaled to a leading 1.  Pivot
+    rows never contain other pivot columns (full back-substitution), so one
+    sweep over an incoming row reduces it.
     """
 
-    def __init__(self, exact: bool):
-        self.exact = exact
-        self.pivots: dict[int, dict[int, Coefficient]] = {}
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, dict[int, int]] = {}
         self._col_index: dict[int, set[int]] = {}
-        self.warning = False
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _zero(self, v: Coefficient, thresh: float) -> bool:
-        if self.exact:
-            return not v
-        return abs(v) <= thresh
-
-    def add_row(self, row: dict[int, Coefficient]) -> None:
+    def add_row(self, row: dict[int, int]) -> None:
+        p = self.p
         row = dict(row)
-        thresh = 0.0
-        if not self.exact and row:
-            thresh = DEFAULT_TOL * max(1.0, max(abs(v) for v in row.values()))
-        while True:
-            hit = [c for c in row if c in self.pivots]
-            if not hit:
-                break
-            for c in hit:
-                f = row.pop(c, None)
-                if f is None or self._zero(f, thresh):
+        for c in [c for c in row if c in self.pivots]:
+            f = row.pop(c)
+            for col, v in self.pivots[c].items():
+                if col == c:
                     continue
-                for col, v in self.pivots[c].items():
-                    if col == c:
-                        continue
-                    cur = row.get(col)
-                    nv = -(f * v) if cur is None else cur - f * v
-                    if self._zero(nv, thresh):
-                        row.pop(col, None)
-                    else:
-                        row[col] = nv
-        if not self.exact:
-            dropped = [v for v in row.values() if abs(v) <= thresh]
-            if any(abs(v) > thresh / 10 for v in dropped):
-                self.warning = True
-            row = {c: v for c, v in row.items() if abs(v) > thresh}
-        else:
-            row = {c: v for c, v in row.items() if v}
+                nv = (row.get(col, 0) - f * v) % p
+                if nv:
+                    row[col] = nv
+                else:
+                    row.pop(col, None)
         if not row:
             return
-        if self.exact:
-            pc = min(row)
-        else:
-            pc = max(row, key=lambda c: abs(row[c]))
-            if abs(row[pc]) < 10 * thresh:
-                self.warning = True
-        piv = row.pop(pc)
-        one = piv / piv
-        newrow = {pc: one}
-        newrow.update({col: v / piv for col, v in row.items()})
+        pc = min(row)
+        inv = pow(row.pop(pc), -1, p)
+        newrow = {pc: 1}
+        newrow.update({col: v * inv % p for col, v in row.items()})
         # back-substitute into existing pivot rows containing pc
-        for p in list(self._col_index.get(pc, ())):
-            prow = self.pivots[p]
+        for q in list(self._col_index.get(pc, ())):
+            prow = self.pivots[q]
             f = prow.pop(pc)
-            self._col_index[pc].discard(p)
+            self._col_index[pc].discard(q)
             for col, v in newrow.items():
                 if col == pc:
                     continue
                 cur = prow.get(col)
-                nv = -(f * v) if cur is None else cur - f * v
-                if self._zero(nv, thresh):
-                    if cur is not None:
-                        prow.pop(col)
-                        self._col_index[col].discard(p)
-                else:
+                nv = ((cur or 0) - f * v) % p
+                if nv:
                     if cur is None:
-                        self._col_index.setdefault(col, set()).add(p)
+                        self._col_index.setdefault(col, set()).add(q)
                     prow[col] = nv
+                elif cur is not None:
+                    prow.pop(col)
+                    self._col_index[col].discard(q)
         self.pivots[pc] = newrow
         for col in newrow:
             if col != pc:
                 self._col_index.setdefault(col, set()).add(pc)
 
-    def residuals_zero(self, vec: dict[int, Coefficient]) -> bool:
-        """True iff the vector satisfies every reduced equation."""
-        for pc, prow in self.pivots.items():
-            total = None
-            for col, v in prow.items():
-                x = vec.get(col)
-                if x is None:
-                    continue
-                term = v * x
-                total = term if total is None else total + term
-            if total is None:
-                continue
-            if self.exact:
-                if total:
-                    return False
-            elif abs(total) > DEFAULT_TOL * max(1.0, len(prow)):
-                return False
-        return True
+    def residuals_zero(self, vec: dict[int, int]) -> bool:
+        """True iff the vector satisfies every reduced equation mod p."""
+        return all(
+            sum(v * vec.get(col, 0) for col, v in prow.items()) % self.p == 0
+            for prow in self.pivots.values()
+        )
 
-    def nullspace_basis(self, n_unknowns: int) -> list[dict[int, Coefficient]]:
+    def nullspace_basis(self, n_unknowns: int) -> list[dict[int, int]]:
         basis = []
         for f in range(n_unknowns):
             if f in self.pivots:
                 continue
-            vec: dict[int, Coefficient] = {f: GR_ONE if self.exact else 1 + 0j}
+            vec = {f: 1}
             for pc in self._col_index.get(f, ()):
-                vec[pc] = -self.pivots[pc][f]
+                vec[pc] = -self.pivots[pc][f] % self.p
             basis.append(vec)
         return basis

@@ -159,7 +159,6 @@ def _verdict_from_oracle(results: dict[Partition, OracleVerdict]) -> Verdict:
 def certify(
     S: StateSet,
     method: str = "both",
-    exact: Optional[bool] = None,
     guard: int = povm_oracle.RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
 ) -> CertReport:
@@ -183,7 +182,7 @@ def certify(
         # orthogonality violations are already reported in the hypotheses;
         # the oracle then constrains only the pairs that are orthogonal
         results = povm_oracle.oracle_all(
-            S, exact=exact, guard=guard, force=force, nonorthogonal="skip",
+            S, guard=guard, force=force, nonorthogonal="skip"
         )
         skipped = sum(r.skipped_pairs for r in results.values())
         if skipped:
@@ -249,9 +248,8 @@ def report_to_dict(report: CertReport) -> dict:
                 "dimension": r.dimension,
                 "contains_identity": r.contains_identity,
                 "trivial_only": r.trivial_only,
-                "mode": "exact" if r.exact else "float",
-                "tolerance": r.tolerance,
-                "warning": r.warning,
+                "mode": "modular",
+                "prime": r.prime,
                 "unknowns": r.n_unknowns,
                 "rows": r.n_rows,
             }

@@ -58,14 +58,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="dimension for the odd/even families")
 
 
-def _add_arithmetic_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--arithmetic",
-        choices=["exact", "float", "auto"],
-        default="auto",
-        help="exact Gaussian rationals (weights dividing 4 only), floats, or "
-        "auto selection (default)",
-    )
+def _add_force_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--force",
         action="store_true",
@@ -91,10 +84,6 @@ def _load_set(args) -> tuple[StateSet, str]:
     except ValueError as e:
         raise CliError(str(e)) from e
     return S, write_state_set(S)
-
-
-def _exact_flag(arithmetic: str) -> Optional[bool]:
-    return {"exact": True, "float": False, "auto": None}[arithmetic]
 
 
 def _partitions(selector: str) -> list[Partition]:
@@ -124,17 +113,11 @@ def cmd_generate(args) -> int:
 def cmd_certify(args) -> int:
     S, text = _load_set(args)
     try:
-        report = certify(
-            S,
-            method=args.method,
-            exact=_exact_flag(args.arithmetic),
-            force=args.force,
-        )
+        report = certify(S, method=args.method, force=args.force)
     except ValueError as e:
         raise CliError(str(e)) from e
     doc = report_to_dict(report)
     doc["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    doc["arithmetic"] = args.arithmetic
     out = json.dumps(doc, indent=2) + "\n"
     if args.report is not None:
         args.report.write_text(out, encoding="utf-8")
@@ -171,13 +154,10 @@ def cmd_graph(args) -> int:
 
 def cmd_oracle(args) -> int:
     S, _ = _load_set(args)
-    exact = _exact_flag(args.arithmetic)
     all_trivial = True
     try:
         for p in _partitions(args.partition):
-            cs = build_constraints(
-                S, p, exact=exact, force=args.force, nonorthogonal="skip"
-            )
+            cs = build_constraints(S, p, force=args.force, nonorthogonal="skip")
             if args.dump_system is not None:
                 path = Path(f"{args.dump_system}_{p.value}.txt")
                 path.write_text(dump_system(cs), encoding="utf-8")
@@ -185,12 +165,9 @@ def cmd_oracle(args) -> int:
             ns = nullspace(cs)
             trivial_only = ns.dimension == 1
             verdict = "trivial-only" if trivial_only else "nontrivial-exists"
-            mode = "exact" if ns.exact else f"float(tol={ns.tolerance})"
-            warn = " WARNING: borderline pivots" if ns.warning else ""
             print(
                 f"cut {p.value}: dim={ns.dimension} {verdict} "
-                f"identity={'yes' if ns.contains_identity else 'no'} "
-                f"mode={mode}{warn}"
+                f"identity={'yes' if ns.contains_identity else 'no'} mode=modular"
             )
             all_trivial = all_trivial and trivial_only
     except ResourceGuardError as e:
@@ -222,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="produce a certification report")
     _add_input_args(c)
     c.add_argument("--method", choices=["graph", "oracle", "both"], default="both")
-    _add_arithmetic_arg(c)
+    _add_force_arg(c)
     c.add_argument("--report", type=Path, help="write the report here")
     c.set_defaults(func=cmd_certify)
 
@@ -240,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="report nullspace dimensions per cut")
     _add_input_args(o)
     o.add_argument("--partition", choices=["A", "B", "C", "all"], default="all")
-    _add_arithmetic_arg(o)
+    _add_force_arg(o)
     o.add_argument(
         "--dump-system",
         help="path prefix for sparse-triplet dumps of the constraint systems",

@@ -101,27 +101,22 @@ def c444_weight4() -> StateSet:
     return StateSet(SystemDims(4, 4, 4), tuple(tuples))
 
 
-CONSTRUCTIONS = {
-    "c333": lambda d=None: c333(),
-    "c345": lambda d=None: c345(),
-    "odd": lambda d=None: odd_d(_require_d(d, "odd")),
-    "even": lambda d=None: even_d(_require_d(d, "even")),
-    "c444w4": lambda d=None: c444_weight4(),
-}
-
-
-def _require_d(d, name: str) -> int:
-    if d is None:
-        raise ValueError(f"construction '{name}' requires --d")
-    return d
+_FIXED = {"c333": c333, "c345": c345, "c444w4": c444_weight4}
+_FAMILIES = {"odd": odd_d, "even": even_d}
+CONSTRUCTIONS = {**_FIXED, **_FAMILIES}
 
 
 def build(name: str, d: int | None = None) -> StateSet:
-    """Look up a construction by CLI name and build it."""
-    try:
-        factory = CONSTRUCTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown construction '{name}' (choose from {sorted(CONSTRUCTIONS)})"
-        ) from None
-    return factory(d)
+    """Look up a construction by CLI name and build it; only the odd and
+    even families take a dimension d."""
+    if name in _FAMILIES:
+        if d is None:
+            raise ValueError(f"construction '{name}' requires --d")
+        return _FAMILIES[name](d)
+    if name in _FIXED:
+        if d is not None:
+            raise ValueError(f"construction '{name}' takes no --d (got {d})")
+        return _FIXED[name]()
+    raise ValueError(
+        f"unknown construction '{name}' (choose from {sorted(CONSTRUCTIONS)})"
+    )

@@ -10,10 +10,15 @@ extra dimension yields a Hermitian non-identity solution H, and I +/- eps*H
 are then valid nontrivial POVM elements.
 
 Normalization factors 1/sqrt(w) are dropped from the rows (they scale
-homogeneous equations), which keeps the exact path inside Gaussian rationals
-whenever every tuple weight divides 4.  A pair's row applied to E = I is the
-pair's unscaled overlap, so the row's trace also tells whether the pair is
-orthogonal at all; no separate orthogonality pass is needed.
+homogeneous equations), so every coefficient is a sum of L-th roots of unity,
+L the lcm of the tuple weights, and the rows are taken mod the prime p of
+arithmetic.prime_field with zeta_L -> r.  Rank mod p never exceeds the true
+rank, so a dimension of 1 certifies trivial-only for every weight; a larger
+dimension is the F_p nullity (see arithmetic.py).  A pair's row applied to
+E = I is the pair's unscaled overlap, a sum of at most min(w_a, w_b) roots
+of unity in Z[zeta_lcm(w_a, w_b)]; p exceeds the norm bound of every such
+sum, so the row's trace tells exactly whether the pair is orthogonal and no
+separate orthogonality pass is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .arithmetic import DEFAULT_TOL, GR_ONE, Coefficient, SparseEliminator
+from .arithmetic import SparseEliminator, norm_bound, prime_field
 from .state_model import Partition, StateSet, expand_set
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
@@ -37,8 +42,10 @@ class ConstraintSystem:
     partition: Partition
     kept_dims: tuple[int, int]
     n_states: int
-    rows: list[dict[int, Coefficient]]
-    exact: bool
+    rows: list[dict[int, int]]
+    order: int
+    prime: int
+    root: int
     skipped_pairs: int = 0
 
     @property
@@ -51,10 +58,22 @@ class ConstraintSystem:
         return self.side * self.side
 
 
+def _field(S: StateSet) -> tuple[int, int, int]:
+    """(L, p, r): L is the lcm of the weights of S, and p exceeds the norm
+    bound of every overlap, a sum of min(w_a, w_b) roots of unity of order
+    lcm(w_a, w_b)."""
+    weights = {t.weight for t in S.tuples}
+    bound = max(
+        (norm_bound(math.lcm(a, b), min(a, b)) for a in weights for b in weights),
+        default=2,
+    )
+    order = math.lcm(*weights)
+    return (order, *prime_field(order, bound))
+
+
 def build_constraints(
     S: StateSet,
     p: Partition,
-    exact: Optional[bool] = None,
     guard: int = RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
     nonorthogonal: str = "reject",
@@ -69,9 +88,9 @@ def build_constraints(
     orthogonality).
     """
     if nonorthogonal not in ("reject", "skip"):
-        raise ValueError(f"nonorthogonal must be 'reject' or 'skip'")
-    if exact is None:
-        exact = S.exact_capable()
+        raise ValueError(
+            f"nonorthogonal must be 'reject' or 'skip', got {nonorthogonal!r}"
+        )
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
     if n_unknowns > guard and not force:
@@ -79,68 +98,51 @@ def build_constraints(
             f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
             f"{guard}; pass force/--force to proceed"
         )
-    states = expand_set(S, exact=exact)
+    order, prime, root = _field(S)
+    roots = [pow(root, e, prime) for e in range(order)]
+    states = expand_set(S)
     P = da * db
-    # per state: cut coordinate -> [(joint kept index, coefficient)]
-    by_cut: list[dict[int, list[tuple[int, Coefficient]]]] = []
+    # per state: cut coordinate -> [(joint kept index, exponent mod order)]
+    by_cut: list[dict[int, list[tuple[int, int]]]] = []
     axis = p.cut_axis
     ka, kb = p.kept_axes
     for s in states:
-        m: dict[int, list[tuple[int, Coefficient]]] = {}
-        for ket, c in s.coeffs.items():
-            m.setdefault(ket[axis], []).append((ket[ka] * db + ket[kb], c))
+        step = order // s.order
+        m: dict[int, list[tuple[int, int]]] = {}
+        for ket, e in s.exponents.items():
+            m.setdefault(ket[axis], []).append((ket[ka] * db + ket[kb], e * step))
         by_cut.append(m)
-    rows: list[dict[int, Coefficient]] = []
+    rows: list[dict[int, int]] = []
     violations: list[tuple[int, int]] = []
     skipped = 0
     for a, phi in enumerate(by_cut):
         for b, psi in enumerate(by_cut):
             if a == b:
                 continue
-            row: dict[int, Coefficient] = {}
+            row: dict[int, int] = {}
             for x, left in phi.items():
                 right = psi.get(x)
                 if right is None:
                     continue
-                for ia, ca in left:
-                    cc = ca.conjugate()
-                    for ib, cb in right:
+                for ia, ea in left:
+                    for ib, eb in right:
                         u = ia * P + ib
-                        v = cc * cb
-                        prev = row.get(u)
-                        row[u] = v if prev is None else prev + v
-            if _overlaps(row, P, states[a].scale * states[b].scale, exact):
+                        row[u] = row.get(u, 0) + roots[(eb - ea) % order]
+            # the trace, on the diagonal unknowns k*(P+1), is the overlap
+            if sum(v for u, v in row.items() if u % (P + 1) == 0) % prime:
                 skipped += 1
                 if a < b:
                     violations.append((a, b))
                 continue
-            rows.append({u: v for u, v in row.items() if v})
+            rows.append({u: r for u, v in row.items() if (r := v % prime)})
     if violations and nonorthogonal == "reject":
         raise ValueError(
             f"state set is not mutually orthogonal (first violations: "
             f"{violations[:5]})"
         )
-    return ConstraintSystem(p, (da, db), len(states), rows, exact, skipped)
-
-
-def _overlaps(
-    row: dict[int, Coefficient], side: int, scale: int, exact: bool
-) -> bool:
-    """True iff the pair behind row is not orthogonal.
-
-    The row's trace (its coefficients on the diagonal unknowns k*(side+1))
-    is the pair's unscaled overlap; scale is the product of the two weights,
-    and the float test is the one states_orthogonal applies.
-    """
-    trace = None
-    for u, v in row.items():
-        if u % (side + 1) == 0:
-            trace = v if trace is None else trace + v
-    if trace is None:
-        return False
-    if exact:
-        return bool(trace)
-    return abs(trace) / math.sqrt(scale) > DEFAULT_TOL
+    return ConstraintSystem(
+        p, (da, db), len(states), rows, order, prime, root, skipped
+    )
 
 
 @dataclass
@@ -149,50 +151,32 @@ class NullspaceResult:
     rank: int
     n_unknowns: int
     contains_identity: bool
-    exact: bool
-    tolerance: Optional[float]
-    warning: bool
+    prime: int
     side: int
-    basis: Optional[list[dict[int, Coefficient]]] = None
+    basis: Optional[list[dict[int, int]]] = None
     _eliminator: Optional[SparseEliminator] = field(default=None, repr=False)
 
-    def in_nullspace(self, vec: dict[int, Coefficient]) -> bool:
+    def in_nullspace(self, vec: dict[int, int]) -> bool:
         if self._eliminator is None:
             raise ValueError("NullspaceResult was built without an eliminator")
         return self._eliminator.residuals_zero(vec)
 
 
-def identity_vector(side: int, exact: bool) -> dict[int, Coefficient]:
-    one: Coefficient = GR_ONE if exact else 1 + 0j
-    return {k * side + k: one for k in range(side)}
-
-
-def dagger_vector(
-    vec: dict[int, Coefficient], side: int
-) -> dict[int, Coefficient]:
-    """Conjugate transpose of a solution matrix given as a sparse vector."""
-    out = {}
-    for u, v in vec.items():
-        r, c = divmod(u, side)
-        out[c * side + r] = v.conjugate()
-    return out
+def identity_vector(side: int) -> dict[int, int]:
+    return {k * side + k: 1 for k in range(side)}
 
 
 def nullspace(cs: ConstraintSystem, with_basis: bool = False) -> NullspaceResult:
-    """Dimension (and optionally a basis) of the solution space of cs."""
-    elim = SparseEliminator(cs.exact)
+    """Dimension (and optionally a basis) of the solution space of cs mod p."""
+    elim = SparseEliminator(cs.prime)
     for row in cs.rows:
         elim.add_row(row)
-    dim = cs.n_unknowns - elim.rank
-    ident = identity_vector(cs.side, cs.exact)
     result = NullspaceResult(
-        dimension=dim,
+        dimension=cs.n_unknowns - elim.rank,
         rank=elim.rank,
         n_unknowns=cs.n_unknowns,
-        contains_identity=elim.residuals_zero(ident),
-        exact=cs.exact,
-        tolerance=None if cs.exact else DEFAULT_TOL,
-        warning=elim.warning,
+        contains_identity=elim.residuals_zero(identity_vector(cs.side)),
+        prime=cs.prime,
         side=cs.side,
         _eliminator=elim,
     )
@@ -207,9 +191,7 @@ class OracleVerdict:
     dimension: int
     contains_identity: bool
     trivial_only: bool
-    exact: bool
-    tolerance: Optional[float]
-    warning: bool
+    prime: int
     n_unknowns: int
     n_rows: int
     skipped_pairs: int = 0
@@ -218,14 +200,13 @@ class OracleVerdict:
 def oracle_verdict(
     S: StateSet,
     p: Partition,
-    exact: Optional[bool] = None,
     guard: int = RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
     nonorthogonal: str = "reject",
 ) -> OracleVerdict:
     """trivial-only iff the constraint nullspace is exactly span(identity)."""
     cs = build_constraints(
-        S, p, exact=exact, guard=guard, force=force, nonorthogonal=nonorthogonal
+        S, p, guard=guard, force=force, nonorthogonal=nonorthogonal
     )
     ns = nullspace(cs)
     return OracleVerdict(
@@ -233,9 +214,7 @@ def oracle_verdict(
         dimension=ns.dimension,
         contains_identity=ns.contains_identity,
         trivial_only=ns.dimension == 1,
-        exact=cs.exact,
-        tolerance=ns.tolerance,
-        warning=ns.warning,
+        prime=cs.prime,
         n_unknowns=cs.n_unknowns,
         n_rows=len(cs.rows),
         skipped_pairs=cs.skipped_pairs,
@@ -244,7 +223,6 @@ def oracle_verdict(
 
 def oracle_all(
     S: StateSet,
-    exact: Optional[bool] = None,
     guard: int = RESOURCE_GUARD_UNKNOWNS,
     force: bool = False,
     nonorthogonal: str = "reject",
@@ -252,32 +230,26 @@ def oracle_all(
     """Strongest-nonlocal overall iff every partition reports trivial-only."""
     return {
         p: oracle_verdict(
-            S, p, exact=exact, guard=guard, force=force,
-            nonorthogonal=nonorthogonal,
+            S, p, guard=guard, force=force, nonorthogonal=nonorthogonal
         )
         for p in Partition
     }
 
 
 def dump_system(cs: ConstraintSystem) -> str:
-    """Sparse-triplet text dump: 'row unknown re im' per nonzero coefficient.
+    """Sparse-triplet text dump: 'row unknown value' per nonzero coefficient.
 
-    Exact coefficients are printed as rational pairs 'p/q'; float ones as
-    decimals.  Unknown index ((y,z),(y',z')) -> (y*db+z)*P + (y'*db+z').
+    Values are residues in [0, p); the header names p, the root order L and
+    the root r that stands for exp(2 pi i/L).  Unknown index
+    ((y,z),(y',z')) -> (y*db+z)*P + (y'*db+z').
     """
     da, db = cs.kept_dims
     lines = [
         f"# partition={cs.partition.value} kept_dims={da}x{db} "
-        f"unknowns={cs.n_unknowns} rows={len(cs.rows)} "
-        f"mode={'exact' if cs.exact else 'float'}",
+        f"unknowns={cs.n_unknowns} rows={len(cs.rows)} mode=modular "
+        f"prime={cs.prime} root={cs.root} order={cs.order}",
         f"# unknown u = (y*{db}+z)*{cs.side} + (y'*{db}+z')",
     ]
     for r, row in enumerate(cs.rows):
-        for u in sorted(row):
-            v = row[u]
-            if cs.exact:
-                lines.append(f"{r} {u} {v.re} {v.im}")
-            else:
-                c = complex(v)
-                lines.append(f"{r} {u} {c.real!r} {c.imag!r}")
+        lines.extend(f"{r} {u} {row[u]}" for u in sorted(row))
     return "\n".join(lines) + "\n"

@@ -2,28 +2,24 @@
 
 A state set is a list of weight-w tuples of computational kets; each tuple
 expands into w mutually orthonormal states whose coefficients are the rows of
-the w-dimensional Fourier matrix, scaled by 1/sqrt(w).  Validators cover every
-hypothesis the connectivity theorems need: coordinate-distinctness ("special
-set"), mutual orthogonality, plane containment, and genuine entanglement.
+the w-dimensional Fourier matrix, scaled by 1/sqrt(w).  Every coefficient is
+a root of unity, so a state stores only its exponents, and orthogonality and
+Schmidt rank are decided exactly over the prime field of arithmetic.py.
+Validators cover every hypothesis the connectivity theorems need:
+coordinate-distinctness ("special set"), mutual orthogonality, plane
+containment, and genuine entanglement.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .arithmetic import (
-    DEFAULT_TOL,
-    Coefficient,
-    GaussianRational,
-    SparseEliminator,
-    exact_weight,
-    root_of_unity,
-)
+from .arithmetic import SparseEliminator, norm_bound, prime_field
 
 
 class StateSetFormatError(ValueError):
@@ -130,10 +126,6 @@ class StateSet:
     def n_states(self) -> int:
         return sum(t.weight for t in self.tuples)
 
-    def exact_capable(self) -> bool:
-        """Exact arithmetic applies when every weight divides 4."""
-        return all(exact_weight(t.weight) for t in self.tuples)
-
     def without_labels(self, prefixes: Sequence[str]) -> "StateSet":
         """Drop every tuple whose label starts with one of the prefixes."""
         kept = tuple(
@@ -146,93 +138,85 @@ class StateSet:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Sparse pure state: amplitude(ket) = coeffs[ket] / sqrt(scale)."""
+    """Sparse pure state with root-of-unity coefficients:
+    amplitude(ket) = omega^exponents[ket] / sqrt(scale), omega = exp(2 pi i/order).
+    """
 
     dims: SystemDims
-    coeffs: dict[Ket, Coefficient] = field(hash=False)
+    exponents: dict[Ket, int] = field(hash=False)
+    order: int = 1
     scale: int = 1
-    exact: bool = True
 
     def amplitude(self, ket: Ket) -> complex:
-        c = self.coeffs.get(ket)
-        if c is None:
+        e = self.exponents.get(ket)
+        if e is None:
             return 0j
-        return complex(c) / math.sqrt(self.scale)
-
-    def squared_norm_numerator(self):
-        """Sum of |coeff|^2; the state is normalized iff this equals scale."""
-        if self.exact:
-            total = Fraction(0)
-            for c in self.coeffs.values():
-                total += c.re * c.re + c.im * c.im
-            return total
-        return sum(abs(c) ** 2 for c in self.coeffs.values())
+        return _unit(e, self.order) / math.sqrt(self.scale)
 
     def is_normalized(self) -> bool:
-        num = self.squared_norm_numerator()
-        if self.exact:
-            return num == self.scale
-        return abs(num / self.scale - 1.0) <= DEFAULT_TOL
+        """Each coefficient has modulus 1, so the squared norm is kets/scale."""
+        return len(self.exponents) == self.scale
 
 
-def expand_tuple(
-    t: GhzTuple, dims: SystemDims, exact: Optional[bool] = None
-) -> list[StateVector]:
+def _unit(e: int, order: int) -> complex:
+    """exp(2 pi i e/order), exact when it is a fourth root of unity."""
+    quarter, rest = divmod(4 * e, order)
+    if rest == 0:
+        return (1 + 0j, 1j, -1 + 0j, -1j)[quarter % 4]
+    return cmath.exp(2j * cmath.pi * e / order)
+
+
+def expand_tuple(t: GhzTuple, dims: SystemDims) -> list[StateVector]:
     """The w states sum_m omega^{(m-1)n} |ket_m> / sqrt(w), n in Z_w."""
     for ket in t.kets:
         if not dims.contains(ket):
             raise ValueError(f"ket {tuple(ket)} out of bounds for {dims.as_tuple()}")
-    if exact is None:
-        exact = exact_weight(t.weight)
-    states = []
-    for n in range(t.weight):
-        coeffs: dict[Ket, Coefficient] = {
-            ket: root_of_unity(t.weight, (m) * n, exact)
-            for m, ket in enumerate(t.kets)
-        }
-        states.append(StateVector(dims, coeffs, scale=t.weight, exact=exact))
-    return states
+    w = t.weight
+    return [
+        StateVector(
+            dims, {ket: m * n % w for m, ket in enumerate(t.kets)}, order=w, scale=w
+        )
+        for n in range(w)
+    ]
 
 
-def expand_set(S: StateSet, exact: Optional[bool] = None) -> list[StateVector]:
+def expand_set(S: StateSet) -> list[StateVector]:
     """All expanded states of S, tuple by tuple, in Fourier-row order."""
-    if exact is None:
-        exact = S.exact_capable()
     out: list[StateVector] = []
     for t in S.tuples:
-        out.extend(expand_tuple(t, S.dims, exact=exact))
+        out.extend(expand_tuple(t, S.dims))
     return out
 
 
-def overlap_numerator(s1: StateVector, s2: StateVector) -> Coefficient:
-    """Unscaled inner product: sum over shared kets of conj(c1) * c2."""
+def _overlap_terms(s1: StateVector, s2: StateVector) -> tuple[int, list[int]]:
+    """(L, exponents): the unscaled overlap <s1|s2> is the sum of omega_L^e
+    over the exponents, one per shared ket (conjugation negates e)."""
     if s1.dims != s2.dims:
         raise ValueError("inner product of states with different dims")
-    if s1.exact and s2.exact:
-        total: Coefficient = GaussianRational(0, 0)
-        for ket, c in s1.coeffs.items():
-            c2 = s2.coeffs.get(ket)
-            if c2 is not None:
-                total = total + c.conjugate() * c2
-        return total
-    return sum(
-        complex(c).conjugate() * complex(s2.coeffs[ket])
-        for ket, c in s1.coeffs.items()
-        if ket in s2.coeffs
-    )
+    order = math.lcm(s1.order, s2.order)
+    a, b = order // s1.order, order // s2.order
+    e2 = s2.exponents
+    return order, [
+        (e2[ket] * b - e * a) % order
+        for ket, e in s1.exponents.items()
+        if ket in e2
+    ]
 
 
 def inner_product(s1: StateVector, s2: StateVector) -> complex:
-    """<s1|s2> including the 1/sqrt(w) normalizations."""
-    num = overlap_numerator(s1, s2)
-    return complex(num) / math.sqrt(s1.scale * s2.scale)
+    """<s1|s2> including the 1/sqrt(w) normalizations (a convenience; no
+    decision reads it)."""
+    order, terms = _overlap_terms(s1, s2)
+    return sum(_unit(e, order) for e in terms) / math.sqrt(s1.scale * s2.scale)
 
 
 def states_orthogonal(s1: StateVector, s2: StateVector) -> bool:
-    num = overlap_numerator(s1, s2)
-    if s1.exact and s2.exact:
-        return not bool(num)
-    return abs(complex(num)) / math.sqrt(s1.scale * s2.scale) <= DEFAULT_TOL
+    """Exact: the overlap is a sum of roots of unity, zero iff zero mod p."""
+    order, terms = _overlap_terms(s1, s2)
+    if not terms:
+        return True
+    p, r = prime_field(order, norm_bound(order, len(terms)))
+    return sum(pow(r, e, p) for e in terms) % p == 0
 
 
 def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
@@ -294,15 +278,18 @@ def check_genuine_entanglement(s: StateVector) -> bool:
     """True iff the Schmidt rank is >= 2 across all three bipartitions."""
     if not s.is_normalized():
         raise ValueError("check_genuine_entanglement requires a normalized state")
-    for p in Partition:
-        axis = p.cut_axis
-        kept = p.kept_axes
+    # the 2x2 minors of each cut matrix are sums of two roots of unity, so
+    # its rank mod p is at least 2 iff its true rank is
+    p, r = prime_field(s.order, norm_bound(s.order, 2))
+    for part in Partition:
+        axis = part.cut_axis
+        kept = part.kept_axes
         d_y = s.dims.as_tuple()[kept[1]]
-        rows: dict[int, dict[int, Coefficient]] = {}
-        for ket, c in s.coeffs.items():
+        rows: dict[int, dict[int, int]] = {}
+        for ket, e in s.exponents.items():
             col = ket[kept[0]] * d_y + ket[kept[1]]
-            rows.setdefault(ket[axis], {})[col] = c
-        elim = SparseEliminator(s.exact)
+            rows.setdefault(ket[axis], {})[col] = pow(r, e, p)
+        elim = SparseEliminator(p)
         for row in rows.values():
             elim.add_row(row)
             if elim.rank >= 2:

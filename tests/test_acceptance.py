@@ -80,7 +80,7 @@ def test_criterion_3_oracle_trivial_only():
             for r in results.values():
                 assert r.dimension == 1
                 assert r.contains_identity
-                assert r.exact  # every listed set qualifies for exact mode
+                assert r.prime >= 2**61
             assert time.monotonic() - t0 < 5.0
         t0 = time.monotonic()
         for r in oracle_all(odd_d(5)).values():
@@ -121,11 +121,11 @@ def test_criterion_4_equivalence_and_ablation():
 
 
 def test_criterion_5_nullspace_diagonality():
-    with criterion(5, "nullspace bases diagonal in exact mode"):
+    with criterion(5, "nullspace bases diagonal over F_p"):
         corpus = [c333(), c345(), odd_d(3), odd_d(5), even_d(6), c444_weight4()]
         for S in corpus:
             for p in Partition:
-                cs = build_constraints(S, p, exact=True)
+                cs = build_constraints(S, p)
                 ns = nullspace(cs, with_basis=True)
                 diag = {k * ns.side + k for k in range(ns.side)}
                 for vec in ns.basis:

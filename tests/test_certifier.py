@@ -178,7 +178,8 @@ class TestReportToDict:
         assert doc["hypotheses"]["is_oges"] is True
         assert set(doc["partitions"]) == {"A", "B", "C"}
         assert doc["oracle"]["A"]["dimension"] == 1
-        assert doc["oracle"]["A"]["mode"] == "exact"
+        assert doc["oracle"]["A"]["mode"] == "modular"
+        assert doc["oracle"]["A"]["prime"] >= 2**61
         assert doc["agreement"] is True
 
     def test_graph_only_report_omits_oracle(self):

@@ -114,12 +114,20 @@ class TestCertify:
         assert code == EXIT_INVALID
 
     def test_float_arithmetic(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "certify", "--construction", "c333", "--arithmetic", "float",
-        )
+        code, out, _ = run(capsys, "certify", "--construction", "c333")
         assert code == EXIT_STRONGEST
-        assert json.loads(out)["oracle"]["A"]["mode"] == "float"
+        for cut in json.loads(out)["oracle"].values():
+            assert cut["mode"] == "modular"
+            assert cut["prime"] >= 2**61
+            assert "tolerance" not in cut and "warning" not in cut
+
+    def test_d_rejected_for_fixed_construction(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "--construction", "c333", "--d", "7"
+        )
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "takes no --d" in err
 
 
 class TestGraph:
@@ -165,7 +173,7 @@ class TestOracle:
         assert len(lines) == 3
         for cut, line in zip("ABC", lines):
             assert line.startswith(f"cut {cut}: dim=1 trivial-only")
-            assert "identity=yes" in line and "mode=exact" in line
+            assert "identity=yes" in line and "mode=modular" in line
 
     def test_pair_nontrivial_exit(self, tmp_path, capsys):
         doc = tmp_path / "pair.json"

@@ -1,9 +1,5 @@
-import math
-from fractions import Fraction
-
 import pytest
 
-from ghznl.arithmetic import GR_ONE, GaussianRational
 from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.oracle import (
     RESOURCE_GUARD_UNKNOWNS,
@@ -12,7 +8,6 @@ from ghznl.oracle import (
     ResourceGuardError,
     SparseEliminator,
     build_constraints,
-    dagger_vector,
     dump_system,
     identity_vector,
     nullspace,
@@ -34,19 +29,18 @@ class TestBuildConstraints:
         assert cs.side == 9
         assert cs.n_states == 26
         assert len(cs.rows) == 26 * 25
-        assert cs.exact
+        assert cs.order == 2
+        assert cs.prime >= 2**61 and (cs.prime - 1) % cs.order == 0
         assert cs.skipped_pairs == 0
 
     def test_c444_coefficients_are_gaussian_units(self):
         cs = build_constraints(c444_weight4(), Partition.B)
         assert cs.n_unknowns == 256
         assert len(cs.rows) == 64 * 63
-        units = {
-            GaussianRational(1),
-            GaussianRational(-1),
-            GaussianRational(0, 1),
-            GaussianRational(0, -1),
-        }
+        # the images of 1, i, -1, -i under i -> root
+        assert cs.order == 4
+        units = {pow(cs.root, k, cs.prime) for k in range(4)}
+        assert len(units) == 4
         seen = {v for row in cs.rows for v in row.values()}
         assert seen <= units
 
@@ -85,53 +79,48 @@ class TestBuildConstraints:
         assert len(cs.rows) == 58 * 57 - 16
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 'drop'"):
             build_constraints(c333(), Partition.A, nonorthogonal="drop")
 
-    def test_float_mode(self):
-        cs = build_constraints(c333(), Partition.A, exact=False)
-        assert not cs.exact
-        assert all(
-            isinstance(v, complex) for row in cs.rows for v in row.values()
-        )
+
+P7 = 7
 
 
 class TestSparseEliminator:
     def test_exact_simple_rank(self):
-        e = SparseEliminator(exact=True)
-        one = GR_ONE
-        e.add_row({0: one, 1: one})
-        e.add_row({0: one, 1: -one})
-        e.add_row({0: one + one, 1: one + one})  # dependent
+        e = SparseEliminator(P7)
+        e.add_row({0: 1, 1: 1})
+        e.add_row({0: 1, 1: P7 - 1})
+        e.add_row({0: 2, 1: 2})  # dependent
         assert e.rank == 2
-        assert e.pivots[0] == {0: one}
-        assert e.pivots[1] == {1: one}
+        assert e.pivots[0] == {0: 1}
+        assert e.pivots[1] == {1: 1}
 
     def test_float_dependent_rows(self):
-        e = SparseEliminator(exact=False)
-        e.add_row({0: 1 + 0j, 2: 2 + 0j})
-        e.add_row({0: 3 + 0j, 2: 6 + 0j})
+        e = SparseEliminator(P7)
+        e.add_row({0: 1, 2: 2})
+        e.add_row({0: 3, 2: 6})
         assert e.rank == 1
-        assert not e.warning
+        assert e.pivots[0] == {0: 1, 2: 2}
 
     def test_nullspace_basis_spans_kernel(self):
-        e = SparseEliminator(exact=True)
-        e.add_row({0: GR_ONE, 1: GR_ONE, 2: GR_ONE})
+        e = SparseEliminator(P7)
+        e.add_row({0: 1, 1: 1, 2: 1})
         basis = e.nullspace_basis(3)
         assert len(basis) == 2
         for vec in basis:
             assert e.residuals_zero(vec)
 
     def test_residuals(self):
-        e = SparseEliminator(exact=True)
-        e.add_row({0: GR_ONE, 1: -GR_ONE})
-        assert e.residuals_zero({0: GR_ONE, 1: GR_ONE})
-        assert not e.residuals_zero({0: GR_ONE, 1: GR_ONE + GR_ONE})
+        e = SparseEliminator(P7)
+        e.add_row({0: 1, 1: P7 - 1})
+        assert e.residuals_zero({0: 1, 1: 1})
+        assert not e.residuals_zero({0: 1, 1: 2})
 
 
 class TestNullspace:
     def test_empty_system_full_dimension(self):
-        cs = ConstraintSystem(Partition.A, (2, 2), 0, [], exact=True)
+        cs = ConstraintSystem(Partition.A, (2, 2), 0, [], 1, P7, 1)
         ns = nullspace(cs)
         assert ns.dimension == 16
         assert ns.rank == 0
@@ -149,7 +138,7 @@ class TestNullspace:
         ns = nullspace(build_constraints(c333(), Partition.A))
         assert ns.dimension == 1
         assert ns.contains_identity
-        assert ns.exact
+        assert ns.prime >= 2**61
 
     def test_basis_of_trivial_solution_is_identity_line(self):
         ns = nullspace(build_constraints(c333(), Partition.B), with_basis=True)
@@ -163,37 +152,33 @@ class TestNullspace:
     def test_in_nullspace_without_eliminator_raises(self):
         ns = NullspaceResult(
             dimension=16, rank=0, n_unknowns=16, contains_identity=True,
-            exact=True, tolerance=None, warning=False, side=4,
+            prime=P7, side=4,
         )
         with pytest.raises(ValueError, match="without an eliminator"):
-            ns.in_nullspace(identity_vector(4, exact=True))
+            ns.in_nullspace(identity_vector(4))
 
     def test_closure_under_dagger(self):
+        # weight-2 rows are real (omega_2 = -1), so the conjugate transpose
+        # of a solution is its transpose
         ns = nullspace(build_constraints(PAIR222, Partition.A), with_basis=True)
         for vec in ns.basis:
-            assert ns.in_nullspace(dagger_vector(vec, ns.side))
-
-    def test_exact_and_float_agree(self):
-        for p in Partition:
-            ne = nullspace(build_constraints(c333(), p, exact=True))
-            nf = nullspace(build_constraints(c333(), p, exact=False))
-            assert ne.dimension == nf.dimension == 1
-            assert nf.contains_identity
-            assert not nf.warning
+            transpose = {
+                c * ns.side + r: v
+                for u, v in vec.items()
+                for r, c in [divmod(u, ns.side)]
+            }
+            assert ns.in_nullspace(transpose)
 
     def test_float_handles_weight3_roots(self):
-        # weight 3 uses primitive cube roots of unity: float path only
+        # weight 3 uses primitive cube roots of unity, which exist mod p
         S = StateSet(
             D3, (GhzTuple(3, (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2))),)
         )
-        assert not S.exact_capable()
         cs = build_constraints(S, Partition.A)
-        assert not cs.exact
+        assert cs.order == 3 and (cs.prime - 1) % 3 == 0
         ns = nullspace(cs)
         assert ns.dimension == 79
         assert ns.contains_identity
-        assert not ns.warning
-        assert ns.tolerance == pytest.approx(1e-9)
 
 
 class TestOracleVerdict:
@@ -230,16 +215,7 @@ class TestOracleVerdict:
 
 class TestIdentityAndDagger:
     def test_identity_vector(self):
-        vec = identity_vector(3, exact=True)
-        assert vec == {0: GR_ONE, 4: GR_ONE, 8: GR_ONE}
-
-    def test_dagger_involution(self):
-        vec = {1: GaussianRational(0, 1), 5: GaussianRational(Fraction(1, 2))}
-        assert dagger_vector(dagger_vector(vec, 3), 3) == vec
-
-    def test_dagger_transposes(self):
-        vec = {1 * 3 + 2: GaussianRational(0, 1)}
-        assert dagger_vector(vec, 3) == {2 * 3 + 1: GaussianRational(0, -1)}
+        assert identity_vector(3) == {0: 1, 4: 1, 8: 1}
 
 
 class TestDumpSystem:
@@ -248,22 +224,18 @@ class TestDumpSystem:
         text = dump_system(cs)
         lines = text.strip().splitlines()
         assert lines[0].startswith("# partition=A kept_dims=2x2 unknowns=16")
-        assert "mode=exact" in lines[0]
+        header = dict(f.split("=") for f in lines[0][2:].split())
+        assert header["mode"] == "modular"
+        assert int(header["prime"]) == cs.prime
+        assert int(header["root"]) == cs.root
+        assert int(header["order"]) == 2
         data = [l.split() for l in lines if not l.startswith("#")]
         assert len(data) == 4  # 2 rows x 2 nonzeros
         for rec in data:
-            assert len(rec) == 4
-            row, u = int(rec[0]), int(rec[1])
+            assert len(rec) == 3
+            row, u, value = map(int, rec)
             assert row in (0, 1) and u in (0, 15)
-            Fraction(rec[2]), Fraction(rec[3])  # parse as rationals
-
-    def test_float_dump_parses(self):
-        cs = build_constraints(PAIR222, Partition.A, exact=False)
-        for line in dump_system(cs).strip().splitlines():
-            if line.startswith("#"):
-                continue
-            parts = line.split()
-            float(parts[2]), float(parts[3])
+            assert 0 < value < cs.prime
 
 
 class TestTiming:

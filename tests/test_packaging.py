@@ -35,3 +35,10 @@ def test_imports_are_stdlib_or_relative(path):
         if name != "ghznl" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_fraction_arithmetic(path):
+    """Every decision runs over the one prime field of arithmetic.py."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "fractions" not in imported_modules(tree)

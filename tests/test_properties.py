@@ -1,8 +1,11 @@
 """Randomized invariants over small generated state sets."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghznl.certifier import certify
 from ghznl.graphs import build_graph, build_path_graph, is_connected
 from ghznl.oracle import build_constraints, identity_vector, nullspace
 from ghznl.state_model import (
@@ -22,16 +25,16 @@ SETTINGS = dict(max_examples=200, deadline=None)
 
 
 @st.composite
-def state_sets(draw, max_tuples=3, weights=(2,)):
+def state_sets(draw, max_tuples=3, weights=(2,), min_dim=2):
     """Small sets of mutually orthogonal GHZ-like tuples.
 
     Kets are built by zipping per-axis permutations so that every tuple is
     coordinately different, and tuples use disjoint coordinate blocks so the
     whole set is mutually orthogonal by construction.
     """
-    d1 = draw(st.integers(2, 4))
-    d2 = draw(st.integers(2, 4))
-    d3 = draw(st.integers(2, 4))
+    d1 = draw(st.integers(min_dim, 4))
+    d2 = draw(st.integers(min_dim, 4))
+    d3 = draw(st.integers(min_dim, 4))
     dims = SystemDims(d1, d2, d3)
     n_tuples = draw(st.integers(1, max_tuples))
     used = set()
@@ -57,7 +60,8 @@ def state_sets(draw, max_tuples=3, weights=(2,)):
 @st.composite
 def overlapping_sets(draw, max_tuples=3):
     """Small sets whose tuples may share kets, so pairs of states from
-    different tuples can be non-orthogonal; weight 3 forces float mode."""
+    different tuples can be non-orthogonal; weights 2, 3 and 4 mix root
+    orders."""
     dims = SystemDims(*(draw(st.integers(2, 4)) for _ in range(3)))
     kets = st.builds(
         Ket,
@@ -78,15 +82,14 @@ def overlapping_sets(draw, max_tuples=3):
 @given(overlapping_sets())
 def test_row_trace_finds_exactly_the_non_orthogonal_pairs(S):
     violations = check_mutual_orthogonality(S)
-    for exact in (None, False):
-        for p in Partition:
-            cs = build_constraints(S, p, exact=exact, nonorthogonal="skip")
-            assert cs.skipped_pairs == 2 * len(violations)
-            if violations:
-                with pytest.raises(ValueError, match="not mutually orthogonal"):
-                    build_constraints(S, p, exact=exact)
-            else:
-                build_constraints(S, p, exact=exact)
+    for p in Partition:
+        cs = build_constraints(S, p, nonorthogonal="skip")
+        assert cs.skipped_pairs == 2 * len(violations)
+        if violations:
+            with pytest.raises(ValueError, match="not mutually orthogonal"):
+                build_constraints(S, p)
+        else:
+            build_constraints(S, p)
 
 
 @settings(**SETTINGS)
@@ -137,3 +140,136 @@ def test_nullspace_dimension_monotone_under_constraints(S):
             sub = StateSet(S.dims, S.tuples[:n])
             dims.append(nullspace(build_constraints(sub, p)).dimension)
         assert all(a >= b for a, b in zip(dims, dims[1:]))
+
+
+# --- reference rank over Q(i) ---------------------------------------------
+
+ZERO = (Fraction(0), Fraction(0))
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def reference_rank(S, p):
+    """Rank over Q(i) of the oracle's system for a set of weights 2 and 4.
+
+    Built from the kets and i-powers directly: state n of a weight-w tuple
+    has coefficient i**((4/w)*m*n) on its m-th ket, and the ordered pair
+    (phi, psi) contributes conj(phi[k]) * psi[k'] to unknown (k, k') for
+    kets k, k' that agree on the cut axis.  Dense elimination on pairs of
+    Fractions.
+    """
+    axis = "ABC".index(p.value)
+    kept = [a for a in range(3) if a != axis]
+    states = [
+        {tuple(k): (4 // t.weight) * m * n % 4 for m, k in enumerate(t.kets)}
+        for t in S.tuples
+        for n in range(t.weight)
+    ]
+    rows = []
+    for a, phi in enumerate(states):
+        for b, psi in enumerate(states):
+            if a == b:
+                continue
+            row = {}
+            for k, ea in phi.items():
+                for k2, eb in psi.items():
+                    if k[axis] == k2[axis]:
+                        u = tuple(k[i] for i in kept) + tuple(k2[i] for i in kept)
+                        re, im = I_POWERS[(eb - ea) % 4]
+                        x = row.get(u, ZERO)
+                        row[u] = (x[0] + re, x[1] + im)
+            rows.append(row)
+    columns = sorted({u for row in rows for u in row})
+    matrix = [[row.get(u, ZERO) for u in columns] for row in rows]
+    rank = 0
+    for c in range(len(columns)):
+        piv = next((r for r in range(rank, len(matrix)) if matrix[r][c] != ZERO), None)
+        if piv is None:
+            continue
+        matrix[rank], matrix[piv] = matrix[piv], matrix[rank]
+        top = matrix[rank]
+        inv = _inv(top[c])
+        nonzero = [j for j in range(c, len(columns)) if top[j] != ZERO]
+        for r in range(rank + 1, len(matrix)):
+            if matrix[r][c] != ZERO:
+                f = _mul(matrix[r][c], inv)
+                for j in nonzero:
+                    matrix[r][j] = _sub(matrix[r][j], _mul(f, top[j]))
+        rank += 1
+    return rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(state_sets(weights=(2, 4)), state_sets(weights=(2, 4), min_dim=4)))
+def test_prime_field_dimension_matches_rank_over_gaussian_rationals(S):
+    for p in Partition:
+        cs = build_constraints(S, p)
+        assert nullspace(cs).dimension == cs.n_unknowns - reference_rank(S, p)
+
+
+# --- Theorem 1 on random weight-2 partitions of a product basis -----------
+
+
+def derangements(n):
+    return st.permutations(range(n)).filter(
+        lambda s: all(s[i] != i for i in range(n))
+    )
+
+
+@st.composite
+def weight2_partitions(draw):
+    """A full product basis split into coordinately different weight-2
+    tuples: the layers of an axis of even dimension are paired, and ket
+    (x, y) of one layer joins (sigma x, tau y) of the other, with sigma and
+    tau derangements.  Such a layered set is disconnected on the two cuts
+    that keep the paired axis, so random swaps of kets between tuples, kept
+    when both tuples stay coordinately different, mix in connected sets."""
+    dims = [draw(st.sampled_from([3, 2])) for _ in range(3)]
+    axis = draw(st.integers(0, 2))
+    dims[axis] = draw(st.sampled_from([4, 2]))
+    oa, ob = [a for a in range(3) if a != axis]
+    layers = draw(st.permutations(range(dims[axis])))
+    tuples = []
+    for l1, l2 in zip(layers[::2], layers[1::2]):
+        sigma = draw(derangements(dims[oa]))
+        tau = draw(derangements(dims[ob]))
+        for x in range(dims[oa]):
+            for y in range(dims[ob]):
+                k1, k2 = [0, 0, 0], [0, 0, 0]
+                k1[axis], k1[oa], k1[ob] = l1, x, y
+                k2[axis], k2[oa], k2[ob] = l2, sigma[x], tau[y]
+                tuples.append([tuple(k1), tuple(k2)])
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(10 * len(tuples)):
+        i, j = rng.randrange(len(tuples)), rng.randrange(len(tuples))
+        t, u = list(tuples[i]), list(tuples[j])
+        a, b = rng.randrange(2), rng.randrange(2)
+        t[a], u[b] = u[b], t[a]
+        if i != j and all(all(x[c] != y[c] for c in range(3)) for x, y in (t, u)):
+            tuples[i], tuples[j] = t, u
+    return StateSet(
+        SystemDims(*dims),
+        tuple(GhzTuple(2, tuple(Ket(*k) for k in t)) for t in tuples),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight2_partitions())
+def test_theorem1_graph_and_oracle_agree(S):
+    report = certify(S, method="both")
+    assert report.applied_theorem == 1
+    assert report.agreement is True
+    for p in Partition:
+        assert report.partitions[p].full_connected == report.oracle[p].trivial_only

@@ -1,9 +1,7 @@
-import cmath
 import math
 
 import pytest
 
-from ghznl.arithmetic import GR_ONE, GaussianRational
 from ghznl.constructions import c333, c345, c444_weight4, even_d
 from ghznl.state_model import (
     GhzTuple,
@@ -58,26 +56,28 @@ class TestGhzTuple:
 
 class TestExpandTuple:
     def test_weight_2_signs(self):
-        # |000> +/- |222> with coefficients (1, 1) and (1, -1), scale 1/sqrt(2)
+        # |000> +/- |222> with coefficients (1, 1) and (1, -1), scale 1/sqrt(2);
+        # the exponents are of omega_2 = -1
         plus, minus = expand_tuple(ghz_pair((0, 0, 0), (2, 2, 2)), D3)
-        assert plus.coeffs == {Ket(0, 0, 0): GR_ONE, Ket(2, 2, 2): GR_ONE}
-        assert minus.coeffs[Ket(2, 2, 2)] == GaussianRational(-1)
+        assert plus.exponents == {Ket(0, 0, 0): 0, Ket(2, 2, 2): 0}
+        assert minus.exponents[Ket(2, 2, 2)] == 1
+        assert plus.order == minus.order == 2
+        assert minus.amplitude(Ket(2, 2, 2)) == -1 / math.sqrt(2)
         assert plus.scale == 2
         assert plus.amplitude(Ket(0, 0, 0)) == pytest.approx(1 / math.sqrt(2))
 
     def test_weight_4_fourier_rows(self):
         t = GhzTuple(4, tuple(Ket(m, m, m) for m in range(4)))
         states = expand_tuple(t, SystemDims(4, 4, 4))
+        # exponents k of i**k: rows 1, (1, i, -1, -i), (1, -1, 1, -1), ...
         rows = [
-            [s.coeffs[Ket(m, m, m)] for m in range(4)] for s in states
+            [s.exponents[Ket(m, m, m)] for m in range(4)] for s in states
         ]
-        i = GaussianRational(0, 1)
-        one = GR_ONE
-        assert rows[0] == [one, one, one, one]
-        assert rows[1] == [one, i, -one, -i]
-        assert rows[2] == [one, -one, one, -one]
-        assert rows[3] == [one, -i, -one, i]
-        assert all(s.scale == 4 for s in states)
+        assert rows[0] == [0, 0, 0, 0]
+        assert rows[1] == [0, 1, 2, 3]
+        assert rows[2] == [0, 2, 0, 2]
+        assert rows[3] == [0, 3, 2, 1]
+        assert all(s.order == 4 and s.scale == 4 for s in states)
 
     def test_expanded_states_orthonormal(self):
         states = expand_tuple(ghz_pair((0, 1, 2), (2, 0, 1)), D3)
@@ -182,7 +182,7 @@ class TestGenuineEntanglement:
         assert check_genuine_entanglement(s)
 
     def test_product_state(self):
-        s = StateVector(D3, {Ket(0, 0, 0): GR_ONE}, scale=1)
+        s = StateVector(D3, {Ket(0, 0, 0): 0}, scale=1)
         assert not check_genuine_entanglement(s)
 
     def test_factorizes_across_one_cut(self):
@@ -195,24 +195,20 @@ class TestGenuineEntanglement:
     def test_weight3_ghz_state_float(self):
         t = GhzTuple(3, (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2)))
         states = expand_tuple(t, D3)
-        assert not any(s.exact for s in states)
+        assert all(s.order == 3 for s in states)
         assert all(check_genuine_entanglement(s) for s in states)
 
     def test_complex_state_factorizes_across_cut_c_float(self):
         # (|00> + w|11>)_AB x (|0> + i|1>)_C / 2 with w = exp(2 pi i / 3):
-        # Schmidt rank 2 on cuts A and B, 1 on cut C
-        w = cmath.exp(2j * cmath.pi / 3)
-        coeffs = {
-            Ket(a, a, c): (1 if a == 0 else w) * (1 if c == 0 else 1j)
-            for a in (0, 1)
-            for c in (0, 1)
-        }
-        s = StateVector(D3, coeffs, scale=4, exact=False)
+        # Schmidt rank 2 on cuts A and B, 1 on cut C.  As powers of
+        # exp(2 pi i / 12): w = 4 and i = 3
+        exponents = {Ket(a, a, c): 4 * a + 3 * c for a in (0, 1) for c in (0, 1)}
+        s = StateVector(D3, exponents, order=12, scale=4)
         assert s.is_normalized()
         assert not check_genuine_entanglement(s)
 
     def test_unnormalized_rejected(self):
-        s = StateVector(D3, {Ket(0, 0, 0): GR_ONE}, scale=2)
+        s = StateVector(D3, {Ket(0, 0, 0): 0}, scale=2)
         with pytest.raises(ValueError, match="normalized"):
             check_genuine_entanglement(s)
 
