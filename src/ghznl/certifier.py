@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from . import oracle as povm_oracle
 from .graphs import build_graph, build_path_graph, connected_components
-from .oracle import OracleVerdict, ResourceGuardError
+from .oracle import NullspaceResult, ResourceGuardError, oracle_all
 from .state_model import (
     Partition,
     StateSet,
@@ -95,7 +94,7 @@ class CertReport:
     applied_theorem: Optional[int]
     graph_verdict: Verdict
     verdict: Verdict
-    oracle: Optional[dict[Partition, OracleVerdict]] = None
+    oracle: Optional[dict[Partition, NullspaceResult]] = None
     oracle_verdict: Optional[Verdict] = None
     agreement: Optional[bool] = None
     notes: list[str] = field(default_factory=list)
@@ -150,24 +149,20 @@ def certify_via_graphs(S: StateSet) -> CertReport:
     return CertReport(hyp, parts, theorem, verdict, verdict, notes=notes)
 
 
-def _verdict_from_oracle(results: dict[Partition, OracleVerdict]) -> Verdict:
+def _verdict_from_oracle(results: dict[Partition, NullspaceResult]) -> Verdict:
     if all(r.trivial_only for r in results.values()):
         return Verdict.STRONGEST_NONLOCAL
     return Verdict.NOT_STRONGEST_NONLOCAL
 
 
-def certify(
-    S: StateSet,
-    method: str = "both",
-    guard: int = povm_oracle.RESOURCE_GUARD_UNKNOWNS,
-    force: bool = False,
-) -> CertReport:
+def certify(S: StateSet, method: str = "both", force: bool = False) -> CertReport:
     """Full certification pipeline.
 
     method: 'graph' runs the connectivity criterion (the oracle is still
-    consulted when that criterion cannot decide); 'oracle' runs only the
-    nullspace oracle; 'both' always runs both and records agreement.  The
-    oracle verdict takes precedence whenever it ran.
+    consulted when that criterion cannot decide); 'both' always runs both
+    and records agreement; 'oracle' does the same as 'both', since the graph
+    route's hypotheses and partitions go into every report.  The oracle
+    verdict takes precedence whenever it ran.
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -181,9 +176,7 @@ def certify(
     try:
         # orthogonality violations are already reported in the hypotheses;
         # the oracle then constrains only the pairs that are orthogonal
-        results = povm_oracle.oracle_all(
-            S, guard=guard, force=force, nonorthogonal="skip"
-        )
+        results = oracle_all(S, force=force)
         skipped = sum(r.skipped_pairs for r in results.values())
         if skipped:
             report.notes.append(

@@ -17,7 +17,6 @@ from . import constructions
 from .certifier import Verdict, certify, report_to_dict
 from .graphs import build_graph, build_path_graph, is_connected, to_dot
 from .oracle import (
-    RESOURCE_GUARD_UNKNOWNS,
     ResourceGuardError,
     build_constraints,
     dump_system,
@@ -157,24 +156,21 @@ def cmd_oracle(args) -> int:
     all_trivial = True
     try:
         for p in _partitions(args.partition):
-            cs = build_constraints(S, p, force=args.force, nonorthogonal="skip")
+            cs = build_constraints(S, p, force=args.force)
             if args.dump_system is not None:
                 path = Path(f"{args.dump_system}_{p.value}.txt")
                 path.write_text(dump_system(cs), encoding="utf-8")
                 print(f"wrote {path}", file=sys.stderr)
             ns = nullspace(cs)
-            trivial_only = ns.dimension == 1
-            verdict = "trivial-only" if trivial_only else "nontrivial-exists"
+            verdict = "trivial-only" if ns.trivial_only else "nontrivial-exists"
             print(
                 f"cut {p.value}: dim={ns.dimension} {verdict} "
                 f"identity={'yes' if ns.contains_identity else 'no'} mode=modular"
             )
-            all_trivial = all_trivial and trivial_only
+            all_trivial = all_trivial and ns.trivial_only
     except ResourceGuardError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except ValueError as e:
-        raise CliError(str(e)) from e
     return EXIT_STRONGEST if all_trivial else EXIT_NOT_STRONGEST
 
 

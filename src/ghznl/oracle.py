@@ -24,8 +24,7 @@ separate orthogonality pass is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .arithmetic import SparseEliminator, norm_bound, prime_field
 from .state_model import Partition, StateSet, expand_set
@@ -72,31 +71,22 @@ def _field(S: StateSet) -> tuple[int, int, int]:
 
 
 def build_constraints(
-    S: StateSet,
-    p: Partition,
-    guard: int = RESOURCE_GUARD_UNKNOWNS,
-    force: bool = False,
-    nonorthogonal: str = "reject",
+    S: StateSet, p: Partition, force: bool = False
 ) -> ConstraintSystem:
     """One row per ordered pair of distinct, mutually orthogonal states of S.
 
     A non-orthogonal pair carries no orthogonality to preserve, so its row is
-    dropped; the pair is found from that row's trace (its overlap).  By
-    default a set with any such pair is rejected; nonorthogonal='skip'
-    proceeds and records how many ordered pairs were skipped (needed for the
-    even-d family at d = 4, whose published kets collide and break
-    orthogonality).
+    dropped and counted in skipped_pairs; the pair is found from that row's
+    trace (its overlap).  The even-d family at d = 4 has such pairs: its
+    published kets collide and break orthogonality.  Systems above
+    RESOURCE_GUARD_UNKNOWNS unknowns are refused unless force is set.
     """
-    if nonorthogonal not in ("reject", "skip"):
-        raise ValueError(
-            f"nonorthogonal must be 'reject' or 'skip', got {nonorthogonal!r}"
-        )
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
-    if n_unknowns > guard and not force:
+    if n_unknowns > RESOURCE_GUARD_UNKNOWNS and not force:
         raise ResourceGuardError(
             f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
-            f"{guard}; pass force/--force to proceed"
+            f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
         )
     order, prime, root = _field(S)
     roots = [pow(root, e, prime) for e in range(order)]
@@ -113,7 +103,6 @@ def build_constraints(
             m.setdefault(ket[axis], []).append((ket[ka] * db + ket[kb], e * step))
         by_cut.append(m)
     rows: list[dict[int, int]] = []
-    violations: list[tuple[int, int]] = []
     skipped = 0
     for a, phi in enumerate(by_cut):
         for b, psi in enumerate(by_cut):
@@ -131,15 +120,8 @@ def build_constraints(
             # the trace, on the diagonal unknowns k*(P+1), is the overlap
             if sum(v for u, v in row.items() if u % (P + 1) == 0) % prime:
                 skipped += 1
-                if a < b:
-                    violations.append((a, b))
                 continue
             rows.append({u: r for u, v in row.items() if (r := v % prime)})
-    if violations and nonorthogonal == "reject":
-        raise ValueError(
-            f"state set is not mutually orthogonal (first violations: "
-            f"{violations[:5]})"
-        )
     return ConstraintSystem(
         p, (da, db), len(states), rows, order, prime, root, skipped
     )
@@ -147,93 +129,60 @@ def build_constraints(
 
 @dataclass
 class NullspaceResult:
+    """The solution space of one cut's constraint system mod p."""
+
+    partition: Partition
     dimension: int
     rank: int
     n_unknowns: int
+    n_rows: int
+    skipped_pairs: int
     contains_identity: bool
     prime: int
     side: int
-    basis: Optional[list[dict[int, int]]] = None
-    _eliminator: Optional[SparseEliminator] = field(default=None, repr=False)
+    basis: list[dict[int, int]]
 
-    def in_nullspace(self, vec: dict[int, int]) -> bool:
-        if self._eliminator is None:
-            raise ValueError("NullspaceResult was built without an eliminator")
-        return self._eliminator.residuals_zero(vec)
+    @property
+    def trivial_only(self) -> bool:
+        """The solution space is exactly span(identity)."""
+        return self.dimension == 1
 
 
 def identity_vector(side: int) -> dict[int, int]:
     return {k * side + k: 1 for k in range(side)}
 
 
-def nullspace(cs: ConstraintSystem, with_basis: bool = False) -> NullspaceResult:
-    """Dimension (and optionally a basis) of the solution space of cs mod p."""
+def nullspace(cs: ConstraintSystem) -> NullspaceResult:
+    """Dimension, rank and a basis of the solution space of cs mod p."""
     elim = SparseEliminator(cs.prime)
     for row in cs.rows:
         elim.add_row(row)
-    result = NullspaceResult(
+    return NullspaceResult(
+        partition=cs.partition,
         dimension=cs.n_unknowns - elim.rank,
         rank=elim.rank,
         n_unknowns=cs.n_unknowns,
+        n_rows=len(cs.rows),
+        skipped_pairs=cs.skipped_pairs,
         contains_identity=elim.residuals_zero(identity_vector(cs.side)),
         prime=cs.prime,
         side=cs.side,
-        _eliminator=elim,
+        basis=elim.nullspace_basis(cs.n_unknowns),
     )
-    if with_basis:
-        result.basis = elim.nullspace_basis(cs.n_unknowns)
-    return result
-
-
-@dataclass
-class OracleVerdict:
-    partition: Partition
-    dimension: int
-    contains_identity: bool
-    trivial_only: bool
-    prime: int
-    n_unknowns: int
-    n_rows: int
-    skipped_pairs: int = 0
 
 
 def oracle_verdict(
-    S: StateSet,
-    p: Partition,
-    guard: int = RESOURCE_GUARD_UNKNOWNS,
-    force: bool = False,
-    nonorthogonal: str = "reject",
-) -> OracleVerdict:
+    S: StateSet, p: Partition, force: bool = False
+) -> NullspaceResult:
     """trivial-only iff the constraint nullspace is exactly span(identity)."""
-    cs = build_constraints(
-        S, p, guard=guard, force=force, nonorthogonal=nonorthogonal
-    )
-    ns = nullspace(cs)
-    return OracleVerdict(
-        partition=p,
-        dimension=ns.dimension,
-        contains_identity=ns.contains_identity,
-        trivial_only=ns.dimension == 1,
-        prime=cs.prime,
-        n_unknowns=cs.n_unknowns,
-        n_rows=len(cs.rows),
-        skipped_pairs=cs.skipped_pairs,
-    )
+    return nullspace(build_constraints(S, p, force=force))
 
 
 def oracle_all(
-    S: StateSet,
-    guard: int = RESOURCE_GUARD_UNKNOWNS,
-    force: bool = False,
-    nonorthogonal: str = "reject",
-) -> dict[Partition, OracleVerdict]:
+    S: StateSet, force: bool = False
+) -> dict[Partition, NullspaceResult]:
     """Strongest-nonlocal overall iff every partition reports trivial-only."""
-    return {
-        p: oracle_verdict(
-            S, p, guard=guard, force=force, nonorthogonal=nonorthogonal
-        )
-        for p in Partition
-    }
+    return {p: oracle_verdict(S, p, force=force) for p in Partition}
 
 
 def dump_system(cs: ConstraintSystem) -> str:

@@ -13,6 +13,7 @@ containment, and genuine entanglement.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -220,14 +221,25 @@ def states_orthogonal(s1: StateVector, s2: StateVector) -> bool:
 
 
 def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
-    """Indices (in expansion order) of non-orthogonal state pairs; empty = pass."""
+    """Indices (in expansion order) of non-orthogonal state pairs; empty = pass.
+
+    States with no ket in common have overlap 0, so only the pairs that
+    share a ket are tested.
+    """
     states = expand_set(S)
-    bad = []
-    for a in range(len(states)):
-        for b in range(a + 1, len(states)):
-            if not states_orthogonal(states[a], states[b]):
-                bad.append((a, b))
-    return bad
+    holders: dict[Ket, list[int]] = {}
+    for idx, s in enumerate(states):
+        for ket in s.exponents:
+            holders.setdefault(ket, []).append(idx)
+    pairs = {
+        (a, b)
+        for idxs in holders.values()
+        for n, a in enumerate(idxs)
+        for b in idxs[n + 1:]
+    }
+    return sorted(
+        (a, b) for a, b in pairs if not states_orthogonal(states[a], states[b])
+    )
 
 
 def coordinate_set(S: StateSet) -> set[tuple[int, int, int]]:
@@ -239,34 +251,25 @@ def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest (i0, j0, k0) whose three coordinate planes
     all lie inside the coordinate set, or None."""
     coords = coordinate_set(S)
-    d1, d2, d3 = S.dims.as_tuple()
-    i0 = next(
-        (
-            i
-            for i in range(d1)
-            if all((i, j, k) in coords for j in range(d2) for k in range(d3))
-        ),
-        None,
-    )
-    j0 = next(
-        (
-            j
-            for j in range(d2)
-            if all((i, j, k) in coords for i in range(d1) for k in range(d3))
-        ),
-        None,
-    )
-    k0 = next(
-        (
-            k
-            for k in range(d3)
-            if all((i, j, k) in coords for i in range(d1) for j in range(d2))
-        ),
-        None,
-    )
-    if i0 is None or j0 is None or k0 is None:
-        return None
-    return (i0, j0, k0)
+    dims = S.dims.as_tuple()
+    witness = []
+    for axis, d in enumerate(dims):
+        others = [range(n) for a, n in enumerate(dims) if a != axis]
+        c0 = next(
+            (
+                c
+                for c in range(d)
+                if all(
+                    (*rest[:axis], c, *rest[axis:]) in coords
+                    for rest in itertools.product(*others)
+                )
+            ),
+            None,
+        )
+        if c0 is None:
+            return None
+        witness.append(c0)
+    return tuple(witness)
 
 
 def check_special_set(S: StateSet) -> list[int]:
@@ -324,6 +327,11 @@ def write_state_set(S: StateSet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: true and false parse as Python bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_state_set(text: str) -> StateSet:
     """Parse a state-set document, raising StateSetFormatError with positions."""
     try:
@@ -336,7 +344,7 @@ def parse_state_set(text: str) -> StateSet:
     if (
         not isinstance(dims_raw, list)
         or len(dims_raw) != 3
-        or not all(isinstance(d, int) for d in dims_raw)
+        or not all(_is_int(d) for d in dims_raw)
     ):
         raise StateSetFormatError("dims: expected a list of 3 integers")
     try:
@@ -354,7 +362,7 @@ def parse_state_set(text: str) -> StateSet:
         weight = t.get("weight")
         kets_raw = t.get("kets")
         label = t.get("label")
-        if not isinstance(weight, int):
+        if not _is_int(weight):
             raise StateSetFormatError(f"{where}: weight must be an integer")
         if not isinstance(kets_raw, list):
             raise StateSetFormatError(f"{where}: kets must be a list")
@@ -367,7 +375,7 @@ def parse_state_set(text: str) -> StateSet:
             if (
                 not isinstance(k, list)
                 or len(k) != 3
-                or not all(isinstance(x, int) for x in k)
+                or not all(_is_int(x) for x in k)
             ):
                 raise StateSetFormatError(
                     f"{where}.kets[{kidx}]: expected a list of 3 integers"

@@ -76,7 +76,7 @@ def test_criterion_3_oracle_trivial_only():
         small = [c333(), c345(), even_d(4), c444_weight4()]
         for S in small:
             t0 = time.monotonic()
-            results = oracle_all(S, nonorthogonal="skip")
+            results = oracle_all(S)
             for r in results.values():
                 assert r.dimension == 1
                 assert r.contains_identity
@@ -126,7 +126,7 @@ def test_criterion_5_nullspace_diagonality():
         for S in corpus:
             for p in Partition:
                 cs = build_constraints(S, p)
-                ns = nullspace(cs, with_basis=True)
+                ns = nullspace(cs)
                 diag = {k * ns.side + k for k in range(ns.side)}
                 for vec in ns.basis:
                     off = {u for u, v in vec.items() if v} - diag
@@ -151,7 +151,7 @@ def test_criterion_6_entanglement_census():
         for t in S4.tuples:
             flat.extend([t.label] * t.weight)
         assert [flat[i] for i in failures] == ["S5", "S5"]
-        for r in oracle_all(S4, nonorthogonal="skip").values():
+        for r in oracle_all(S4).values():
             assert r.dimension == 1
 
 

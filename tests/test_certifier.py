@@ -116,6 +116,13 @@ class TestCertify:
         assert r.oracle_verdict is Verdict.STRONGEST_NONLOCAL
         assert all(v.trivial_only for v in r.oracle.values())
 
+    def test_oracle_method_is_both(self):
+        # the graph route runs under 'oracle' too, so the reports coincide
+        for S in (c333(), PAIR222):
+            assert report_to_dict(certify(S, method="oracle")) == report_to_dict(
+                certify(S, method="both")
+            )
+
     def test_ghz_basis_negative_agreement(self):
         r = certify(ghz_basis_222(), method="both")
         assert r.verdict is Verdict.NOT_STRONGEST_NONLOCAL
@@ -147,14 +154,16 @@ class TestCertify:
         assert r.verdict is Verdict.NOT_STRONGEST_NONLOCAL
         assert r.oracle[Partition.A].dimension == 15
 
-    def test_guard_refusal_keeps_definitive_graph_verdict(self):
-        r = certify(c333(), method="both", guard=5)
+    def test_guard_refusal_keeps_definitive_graph_verdict(self, monkeypatch):
+        monkeypatch.setattr("ghznl.oracle.RESOURCE_GUARD_UNKNOWNS", 5)
+        r = certify(c333(), method="both")
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert r.oracle is None
         assert any("refused" in n for n in r.notes)
 
-    def test_guard_refusal_without_graph_verdict(self):
-        r = certify(PAIR222, method="both", guard=5)
+    def test_guard_refusal_without_graph_verdict(self, monkeypatch):
+        monkeypatch.setattr("ghznl.oracle.RESOURCE_GUARD_UNKNOWNS", 5)
+        r = certify(PAIR222, method="both")
         assert r.verdict is Verdict.INCONCLUSIVE
         assert any("refused" in n for n in r.notes)
 

@@ -93,6 +93,17 @@ class TestCertify:
         assert code == EXIT_INVALID
         assert "error:" in err
 
+    def test_boolean_ket_coordinates_rejected(self, tmp_path, capsys):
+        doc = tmp_path / "bool.json"
+        doc.write_text(
+            '{"dims": [2, 2, 2], "tuples": '
+            '[{"weight": 2, "kets": [[false, 0, 0], [true, 1, 1]]}]}'
+        )
+        code, out, err = run(capsys, "certify", "--input", str(doc))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert "tuples[0].kets[0]: expected a list of 3 integers" in err
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "certify", "--input", str(tmp_path / "absent.json")

@@ -4,7 +4,6 @@ from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.oracle import (
     RESOURCE_GUARD_UNKNOWNS,
     ConstraintSystem,
-    NullspaceResult,
     ResourceGuardError,
     SparseEliminator,
     build_constraints,
@@ -63,24 +62,17 @@ class TestBuildConstraints:
         cs = build_constraints(odd_d(9), Partition.A)
         assert cs.n_unknowns == 6561
 
-    def test_small_guard_and_force(self):
+    def test_small_guard_and_force(self, monkeypatch):
+        monkeypatch.setattr("ghznl.oracle.RESOURCE_GUARD_UNKNOWNS", 5)
         with pytest.raises(ResourceGuardError):
-            build_constraints(c333(), Partition.A, guard=5)
-        cs = build_constraints(c333(), Partition.A, guard=5, force=True)
+            build_constraints(c333(), Partition.A)
+        cs = build_constraints(c333(), Partition.A, force=True)
         assert cs.n_unknowns == 81
 
-    def test_nonorthogonal_reject_default(self):
-        with pytest.raises(ValueError, match="not mutually orthogonal"):
-            build_constraints(even_d(4), Partition.A)
-
     def test_nonorthogonal_skip_counts_pairs(self):
-        cs = build_constraints(even_d(4), Partition.A, nonorthogonal="skip")
+        cs = build_constraints(even_d(4), Partition.A)
         assert cs.skipped_pairs == 16
         assert len(cs.rows) == 58 * 57 - 16
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="got 'drop'"):
-            build_constraints(c333(), Partition.A, nonorthogonal="drop")
 
 
 P7 = 7
@@ -141,7 +133,7 @@ class TestNullspace:
         assert ns.prime >= 2**61
 
     def test_basis_of_trivial_solution_is_identity_line(self):
-        ns = nullspace(build_constraints(c333(), Partition.B), with_basis=True)
+        ns = nullspace(build_constraints(c333(), Partition.B))
         assert len(ns.basis) == 1
         vec = ns.basis[0]
         diag = {k * 9 + k for k in range(9)}
@@ -149,25 +141,21 @@ class TestNullspace:
         vals = set(vec.values())
         assert len(vals) == 1
 
-    def test_in_nullspace_without_eliminator_raises(self):
-        ns = NullspaceResult(
-            dimension=16, rank=0, n_unknowns=16, contains_identity=True,
-            prime=P7, side=4,
-        )
-        with pytest.raises(ValueError, match="without an eliminator"):
-            ns.in_nullspace(identity_vector(4))
-
     def test_closure_under_dagger(self):
         # weight-2 rows are real (omega_2 = -1), so the conjugate transpose
         # of a solution is its transpose
-        ns = nullspace(build_constraints(PAIR222, Partition.A), with_basis=True)
+        cs = build_constraints(PAIR222, Partition.A)
+        ns = nullspace(cs)
+        assert len(ns.basis) == ns.dimension
         for vec in ns.basis:
             transpose = {
                 c * ns.side + r: v
                 for u, v in vec.items()
                 for r, c in [divmod(u, ns.side)]
             }
-            assert ns.in_nullspace(transpose)
+            for row in cs.rows:
+                residual = sum(v * transpose.get(u, 0) for u, v in row.items())
+                assert residual % cs.prime == 0
 
     def test_float_handles_weight3_roots(self):
         # weight 3 uses primitive cube roots of unity, which exist mod p
@@ -197,7 +185,7 @@ class TestOracleVerdict:
         assert r.n_rows == 2
 
     def test_even4_skip_mode(self):
-        for r in oracle_all(even_d(4), nonorthogonal="skip").values():
+        for r in oracle_all(even_d(4)).values():
             assert r.dimension == 1
             assert r.trivial_only
             assert r.contains_identity

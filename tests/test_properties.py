@@ -1,5 +1,6 @@
 """Randomized invariants over small generated state sets."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,11 @@ from ghznl.state_model import (
     StateSet,
     SystemDims,
     check_mutual_orthogonality,
+    check_plane_containing,
     expand_set,
     inner_product,
     parse_state_set,
+    states_orthogonal,
     write_state_set,
 )
 
@@ -83,13 +86,62 @@ def overlapping_sets(draw, max_tuples=3):
 def test_row_trace_finds_exactly_the_non_orthogonal_pairs(S):
     violations = check_mutual_orthogonality(S)
     for p in Partition:
-        cs = build_constraints(S, p, nonorthogonal="skip")
-        assert cs.skipped_pairs == 2 * len(violations)
-        if violations:
-            with pytest.raises(ValueError, match="not mutually orthogonal"):
-                build_constraints(S, p)
-        else:
-            build_constraints(S, p)
+        assert build_constraints(S, p).skipped_pairs == 2 * len(violations)
+
+
+@settings(**SETTINGS)
+@given(overlapping_sets(max_tuples=6))
+def test_mutual_orthogonality_matches_all_pairs_scan(S):
+    states = expand_set(S)
+    expected = [
+        (a, b)
+        for a in range(len(states))
+        for b in range(a + 1, len(states))
+        if not states_orthogonal(states[a], states[b])
+    ]
+    assert check_mutual_orthogonality(S) == expected
+
+
+@st.composite
+def dense_sets(draw):
+    """Kets covering all but a few cells of a small grid, paired in drawn
+    order into weight-2 tuples, so whole coordinate planes occur."""
+    dims = tuple(draw(st.integers(2, 3)) for _ in range(3))
+    grid = draw(st.permutations(list(itertools.product(*map(range, dims)))))
+    kets = grid[: len(grid) - draw(st.integers(0, 4))]
+    if len(kets) % 2:
+        kets.append(kets[0])
+    return StateSet(
+        SystemDims(*dims),
+        tuple(
+            GhzTuple(2, (Ket(*a), Ket(*b))) for a, b in zip(kets[::2], kets[1::2])
+        ),
+    )
+
+
+@settings(**SETTINGS)
+@given(dense_sets())
+def test_plane_witness_is_lexicographically_smallest(S):
+    coords = {tuple(k) for t in S.tuples for k in t.kets}
+    dims = S.dims.as_tuple()
+
+    def plane(axis, c):
+        return all(
+            k in coords
+            for k in itertools.product(
+                *(range(n) if a != axis else [c] for a, n in enumerate(dims))
+            )
+        )
+
+    expected = min(
+        (
+            t
+            for t in itertools.product(*map(range, dims))
+            if all(plane(a, t[a]) for a in range(3))
+        ),
+        default=None,
+    )
+    assert check_plane_containing(S) == expected
 
 
 @settings(**SETTINGS)

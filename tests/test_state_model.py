@@ -242,3 +242,17 @@ class TestDocumentFormat:
         )
         with pytest.raises(StateSetFormatError, match="exceeds"):
             parse_state_set(text)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"dims": [2,2,true], "tuples": []}', "dims"),
+            ('{"dims": [2,2,2], "tuples": [{"weight": true, "kets": [[0,0,0]]}]}',
+             r"tuples\[0\]: weight"),
+            ('{"dims": [2,2,2], "tuples": [{"weight": 2, '
+             '"kets": [[0,0,0],[1,true,1]]}]}', r"tuples\[0\].kets\[1\]"),
+        ],
+    )
+    def test_booleans_are_not_integers(self, text, where):
+        with pytest.raises(StateSetFormatError, match=where):
+            parse_state_set(text)
