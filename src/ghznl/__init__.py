@@ -34,7 +34,6 @@ from .state_model import (
     coordinate_set,
     expand_set,
     expand_tuple,
-    inner_product,
     parse_state_set,
     write_state_set,
 )

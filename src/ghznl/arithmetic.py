@@ -1,9 +1,8 @@
 """The one exact arithmetic: integers modulo a proven prime p.
 
 Every coefficient ghznl meets is a sum of roots of unity: a state's
-amplitudes are powers of omega_w = exp(2*pi*i/w), so overlaps, constraint
-rows and 2x2 minors all lie in Z[zeta_L] for L the lcm of the root orders in
-play.  prime_field picks a prime p = 1 (mod L) together with a primitive L-th
+amplitudes are powers of omega_w = exp(2*pi*i/w), so overlaps and
+constraint rows lie in Z[zeta_L] for L the lcm of the root orders in play.  prime_field picks a prime p = 1 (mod L) together with a primitive L-th
 root r of unity mod p; then zeta_L -> r is a ring map Z[zeta_L] -> F_p, and
 every decision runs over F_p:
 
@@ -17,15 +16,14 @@ every decision runs over F_p:
   kernel of the ring map meets Z[zeta_M] in a prime over p, so alpha = 0
   mod p would need p to divide the nonzero integer N(alpha): any
   p > B^phi(M) (norm_bound) decides alpha == 0 exactly.  Overlaps (B = the
-  number of shared kets) and 2x2 minors of a state's cut matrix (B = 2) are
-  such sums, so orthogonality and Schmidt rank are exact tests, not
-  heuristics.
+  number of shared kets) are such sums, so orthogonality is an exact test,
+  not a heuristic.  (Schmidt rank needs no field: state_model reads it off
+  the exponents.)
 * A nullity above 1 is the F_p nullity.  It equals the true nullity unless p
   divides the norm of every nonzero maximal minor of the system; p >= 2^61
   keeps that unlikely, but such a verdict is not re-checked here.
 
-SparseEliminator reduces sparse rows of residues; the nullspace oracle and
-the Schmidt-rank check both use it.
+SparseEliminator reduces sparse rows of residues for the nullspace oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ def _euler_phi(n: int) -> int:
 
 def norm_bound(order: int, terms: int) -> int:
     """Bound on |N(alpha)| for a nonzero sum alpha of at most `terms` roots
-    of unity whose orders divide `order`; at least 2, the bound for minors."""
+    of unity whose orders divide `order`; the base is at least 2."""
     return max(2, terms) ** _euler_phi(order)
 
 

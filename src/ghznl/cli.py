@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 StrongestNonlocal, 1 NotStrongestNonlocal, 2 Inconclusive or
-HypothesesViolated (or a resource-guard refusal), 3 invalid input/parameters.
+HypothesesViolated (or a resource-guard refusal), 3 invalid input/parameters
+or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ def _load_set(args) -> tuple[StateSet, str]:
     if (args.input is None) == (args.construction is None):
         raise CliError("exactly one of --input or --construction is required")
     if args.input is not None:
+        if args.d is not None:
+            raise CliError("--input takes no --d")
         try:
             text = args.input.read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise CliError(f"cannot read {args.input}: {e}") from e
         try:
             return parse_state_set(text), text
@@ -226,7 +229,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, OSError) as e:
+        # OSError: an output file or directory that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -3,8 +3,9 @@
 A state set is a list of weight-w tuples of computational kets; each tuple
 expands into w mutually orthonormal states whose coefficients are the rows of
 the w-dimensional Fourier matrix, scaled by 1/sqrt(w).  Every coefficient is
-a root of unity, so a state stores only its exponents, and orthogonality and
-Schmidt rank are decided exactly over the prime field of arithmetic.py.
+a root of unity, so a state stores only its exponents.  Orthogonality is
+decided exactly over the prime field of arithmetic.py, and Schmidt rank from
+the exponents alone.
 Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.
@@ -12,7 +13,6 @@ containment, and genuine entanglement.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
-from .arithmetic import SparseEliminator, norm_bound, prime_field
+from .arithmetic import norm_bound, prime_field
 
 
 class StateSetFormatError(ValueError):
@@ -139,32 +139,14 @@ class StateSet:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Sparse pure state with root-of-unity coefficients:
-    amplitude(ket) = omega^exponents[ket] / sqrt(scale), omega = exp(2 pi i/order).
+    """Sparse pure state whose coefficient on each ket of its support is
+    omega^exponents[ket] / sqrt(len(exponents)), omega = exp(2 pi i/order),
+    so every state is normalized by construction.
     """
 
     dims: SystemDims
     exponents: dict[Ket, int] = field(hash=False)
     order: int = 1
-    scale: int = 1
-
-    def amplitude(self, ket: Ket) -> complex:
-        e = self.exponents.get(ket)
-        if e is None:
-            return 0j
-        return _unit(e, self.order) / math.sqrt(self.scale)
-
-    def is_normalized(self) -> bool:
-        """Each coefficient has modulus 1, so the squared norm is kets/scale."""
-        return len(self.exponents) == self.scale
-
-
-def _unit(e: int, order: int) -> complex:
-    """exp(2 pi i e/order), exact when it is a fourth root of unity."""
-    quarter, rest = divmod(4 * e, order)
-    if rest == 0:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[quarter % 4]
-    return cmath.exp(2j * cmath.pi * e / order)
 
 
 def expand_tuple(t: GhzTuple, dims: SystemDims) -> list[StateVector]:
@@ -175,7 +157,7 @@ def expand_tuple(t: GhzTuple, dims: SystemDims) -> list[StateVector]:
     w = t.weight
     return [
         StateVector(
-            dims, {ket: m * n % w for m, ket in enumerate(t.kets)}, order=w, scale=w
+            dims, {ket: m * n % w for m, ket in enumerate(t.kets)}, order=w
         )
         for n in range(w)
     ]
@@ -202,13 +184,6 @@ def _overlap_terms(s1: StateVector, s2: StateVector) -> tuple[int, list[int]]:
         for ket, e in s1.exponents.items()
         if ket in e2
     ]
-
-
-def inner_product(s1: StateVector, s2: StateVector) -> complex:
-    """<s1|s2> including the 1/sqrt(w) normalizations (a convenience; no
-    decision reads it)."""
-    order, terms = _overlap_terms(s1, s2)
-    return sum(_unit(e, order) for e in terms) / math.sqrt(s1.scale * s2.scale)
 
 
 def states_orthogonal(s1: StateVector, s2: StateVector) -> bool:
@@ -278,26 +253,33 @@ def check_special_set(S: StateSet) -> list[int]:
 
 
 def check_genuine_entanglement(s: StateVector) -> bool:
-    """True iff the Schmidt rank is >= 2 across all three bipartitions."""
-    if not s.is_normalized():
-        raise ValueError("check_genuine_entanglement requires a normalized state")
-    # the 2x2 minors of each cut matrix are sums of two roots of unity, so
-    # its rank mod p is at least 2 iff its true rank is
-    p, r = prime_field(s.order, norm_bound(s.order, 2))
+    """True iff the Schmidt rank is >= 2 across all three bipartitions.
+
+    Across a cut the state is a matrix M[x, y] = omega^e(x, y) on its
+    support (x the cut party's coordinate, y the other two).  Every 2x2
+    minor omega^a omega^d - omega^b omega^c vanishes iff a + d = b + c
+    (mod order), so M has rank 1 exactly when its support is a full
+    rectangle X x Y and e(x, y) + e(x0, y0) = e(x, y0) + e(x0, y) for one
+    fixed cell (x0, y0) and every cell (x, y): then M[x, y] is the product
+    omega^e(x, y0) * omega^(e(x0, y) - e(x0, y0)).  No arithmetic beyond
+    the exponents is needed.
+    """
+    if not s.exponents:
+        raise ValueError("check_genuine_entanglement requires a nonzero state")
     for part in Partition:
-        axis = part.cut_axis
-        kept = part.kept_axes
-        d_y = s.dims.as_tuple()[kept[1]]
-        rows: dict[int, dict[int, int]] = {}
-        for ket, e in s.exponents.items():
-            col = ket[kept[0]] * d_y + ket[kept[1]]
-            rows.setdefault(ket[axis], {})[col] = pow(r, e, p)
-        elim = SparseEliminator(p)
-        for row in rows.values():
-            elim.add_row(row)
-            if elim.rank >= 2:
-                break
-        if elim.rank < 2:
+        cells = {
+            (ket[part.cut_axis], part.project(ket)): e
+            for ket, e in s.exponents.items()
+        }
+        xs = {x for x, _ in cells}
+        ys = {y for _, y in cells}
+        if len(cells) != len(xs) * len(ys):
+            continue
+        (x0, y0), e0 = next(iter(cells.items()))
+        if all(
+            (e + e0 - cells[x, y0] - cells[x0, y]) % s.order == 0
+            for (x, y), e in cells.items()
+        ):
             return False
     return True
 

@@ -110,6 +110,15 @@ class TestCertify:
         )
         assert code == EXIT_INVALID
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        doc = tmp_path / "latin1.json"
+        doc.write_bytes(b'{"dims": [3,3,3], "tuples": [], "label": "\xe9"}')
+        code, out, err = run(capsys, "certify", "--input", str(doc))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith(f"error: cannot read {doc}: ")
+        assert err.count("\n") == 1
+
     def test_input_and_construction_conflict(self, tmp_path, capsys):
         doc = tmp_path / "x.json"
         doc.write_text("{}")
@@ -234,6 +243,37 @@ class TestOracle:
         for cut, line in zip("ABC", out.strip().splitlines()):
             assert line.startswith(f"cut {cut}: dim=1 trivial-only")
             assert (tmp_path / f"sys_{cut}.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "graph", "oracle"])
+def test_d_rejected_with_input(tmp_path, capsys, command):
+    doc = tmp_path / "c333.json"
+    main(["generate", "--construction", "c333", "--output", str(doc)])
+    capsys.readouterr()
+    code, out, err = run(capsys, command, "--input", str(doc), "--d", "9")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "--input takes no --d" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--construction", "c333", "--output"],
+        ["certify", "--construction", "c333", "--report"],
+        ["graph", "--construction", "c333", "--output-dir"],
+        ["oracle", "--construction", "c333", "--dump-system"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output(tmp_path, capsys, argv):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code, out, err = run(capsys, *argv, str(blocker / "out"))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 class TestParser:

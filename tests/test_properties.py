@@ -3,9 +3,9 @@
 import itertools
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghznl.arithmetic import SparseEliminator, norm_bound, prime_field
 from ghznl.certifier import certify
 from ghznl.graphs import build_graph, build_path_graph, is_connected
 from ghznl.oracle import build_constraints, identity_vector, nullspace
@@ -14,11 +14,12 @@ from ghznl.state_model import (
     Ket,
     Partition,
     StateSet,
+    StateVector,
     SystemDims,
+    check_genuine_entanglement,
     check_mutual_orthogonality,
     check_plane_containing,
     expand_set,
-    inner_product,
     parse_state_set,
     states_orthogonal,
     write_state_set,
@@ -176,9 +177,9 @@ def test_document_round_trip(S):
 def test_expansion_orthonormal(S):
     states = expand_set(S)
     for a, s in enumerate(states):
-        assert inner_product(s, s) == pytest.approx(1, abs=1e-12)
+        assert not states_orthogonal(s, s)
         for t in states[a + 1:]:
-            assert abs(inner_product(s, t)) < 1e-12
+            assert states_orthogonal(s, t)
     assert len(states) == S.n_states
 
 
@@ -192,6 +193,72 @@ def test_nullspace_dimension_monotone_under_constraints(S):
             sub = StateSet(S.dims, S.tuples[:n])
             dims.append(nullspace(build_constraints(sub, p)).dimension)
         assert all(a >= b for a, b in zip(dims, dims[1:]))
+
+
+# --- Schmidt rank against cut-matrix elimination over F_p ----------------
+
+
+@st.composite
+def hand_built_states(draw):
+    """States on a rectangle support X1 x X2 x X3, sometimes with a few
+    cells removed.  The exponent of a ket is f1(i) + f2(j) + f3(k), plus
+    g of one pair of axes when drawn (a product across the third party's
+    cut only), and then a few cells are perturbed."""
+    order = draw(st.sampled_from([2, 3, 4, 6, 12]))
+    dims = SystemDims(*(draw(st.integers(2, 3)) for _ in range(3)))
+    axes = [
+        draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+        for d in dims.as_tuple()
+    ]
+    cells = list(itertools.product(*axes))
+    for _ in range(draw(st.integers(0, min(2, len(cells) - 1)))):
+        cells.remove(draw(st.sampled_from(cells)))
+    exponent = st.integers(0, order - 1)
+    f = [{c: draw(exponent) for c in axis} for axis in axes]
+    pair = draw(st.sampled_from([None, (0, 1), (1, 2), (0, 2)]))
+    g = {} if pair is None else {
+        (x[pair[0]], x[pair[1]]): draw(exponent) for x in cells
+    }
+    exponents = {
+        Ket(*x): (
+            sum(f[a][x[a]] for a in range(3))
+            + (0 if pair is None else g[x[pair[0]], x[pair[1]]])
+        ) % order
+        for x in cells
+    }
+    for _ in range(draw(st.integers(0, 2))):
+        ket = draw(st.sampled_from(sorted(exponents)))
+        exponents[ket] = (exponents[ket] + draw(exponent)) % order
+    return StateVector(dims, exponents, order=order)
+
+
+def reference_genuinely_entangled(s):
+    """Rank >= 2 on every cut, by SparseEliminator on the cut matrix of
+    residues r^e over the prime field whose p exceeds the norm bound of a
+    2x2 minor."""
+    p, r = prime_field(s.order, norm_bound(s.order, 2))
+    for part in Partition:
+        columns, rows = {}, {}
+        for ket, e in s.exponents.items():
+            col = columns.setdefault(part.project(ket), len(columns))
+            rows.setdefault(ket[part.cut_axis], {})[col] = pow(r, e, p)
+        elim = SparseEliminator(p)
+        for row in rows.values():
+            elim.add_row(row)
+        if elim.rank < 2:
+            return False
+    return True
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        hand_built_states(),
+        overlapping_sets().flatmap(lambda S: st.sampled_from(expand_set(S))),
+    )
+)
+def test_schmidt_rank_from_exponents_matches_elimination(s):
+    assert check_genuine_entanglement(s) == reference_genuinely_entangled(s)
 
 
 # --- reference rank over Q(i) ---------------------------------------------

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from ghznl.constructions import c333, c345, c444_weight4, even_d
@@ -15,11 +13,10 @@ from ghznl.state_model import (
     check_plane_containing,
     check_special_set,
     coordinate_set,
-    expand_set,
     expand_tuple,
     genuine_entanglement_census,
-    inner_product,
     parse_state_set,
+    states_orthogonal,
     write_state_set,
 )
 
@@ -62,9 +59,6 @@ class TestExpandTuple:
         assert plus.exponents == {Ket(0, 0, 0): 0, Ket(2, 2, 2): 0}
         assert minus.exponents[Ket(2, 2, 2)] == 1
         assert plus.order == minus.order == 2
-        assert minus.amplitude(Ket(2, 2, 2)) == -1 / math.sqrt(2)
-        assert plus.scale == 2
-        assert plus.amplitude(Ket(0, 0, 0)) == pytest.approx(1 / math.sqrt(2))
 
     def test_weight_4_fourier_rows(self):
         t = GhzTuple(4, tuple(Ket(m, m, m) for m in range(4)))
@@ -77,12 +71,7 @@ class TestExpandTuple:
         assert rows[1] == [0, 1, 2, 3]
         assert rows[2] == [0, 2, 0, 2]
         assert rows[3] == [0, 3, 2, 1]
-        assert all(s.order == 4 and s.scale == 4 for s in states)
-
-    def test_expanded_states_orthonormal(self):
-        states = expand_tuple(ghz_pair((0, 1, 2), (2, 0, 1)), D3)
-        assert inner_product(states[0], states[0]) == pytest.approx(1)
-        assert inner_product(states[0], states[1]) == pytest.approx(0)
+        assert all(s.order == 4 for s in states)
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError, match="out of bounds"):
@@ -90,24 +79,21 @@ class TestExpandTuple:
 
 
 class TestInnerProduct:
-    def test_normalization(self):
-        for s in expand_set(c333()):
-            assert inner_product(s, s) == pytest.approx(1)
-
     def test_disjoint_supports(self):
         s1 = expand_tuple(ghz_pair((0, 0, 0), (1, 1, 1)), D3)[0]
         s2 = expand_tuple(ghz_pair((2, 2, 2), (1, 0, 1)), D3)[0]
-        assert inner_product(s1, s2) == 0
+        assert states_orthogonal(s1, s2)
 
     def test_sign_cancellation(self):
         plus, minus = expand_tuple(ghz_pair((0, 0, 0), (1, 1, 1)), D3)
-        assert inner_product(plus, minus) == 0
+        assert states_orthogonal(plus, minus)
+        assert not states_orthogonal(plus, plus)
 
     def test_dims_mismatch(self):
         s1 = expand_tuple(ghz_pair((0, 0, 0), (1, 1, 1)), D3)[0]
         s2 = expand_tuple(ghz_pair((0, 0, 0), (1, 1, 1)), SystemDims(4, 4, 4))[0]
         with pytest.raises(ValueError):
-            inner_product(s1, s2)
+            states_orthogonal(s1, s2)
 
 
 class TestMutualOrthogonality:
@@ -182,7 +168,7 @@ class TestGenuineEntanglement:
         assert check_genuine_entanglement(s)
 
     def test_product_state(self):
-        s = StateVector(D3, {Ket(0, 0, 0): 0}, scale=1)
+        s = StateVector(D3, {Ket(0, 0, 0): 0})
         assert not check_genuine_entanglement(s)
 
     def test_factorizes_across_one_cut(self):
@@ -203,14 +189,12 @@ class TestGenuineEntanglement:
         # Schmidt rank 2 on cuts A and B, 1 on cut C.  As powers of
         # exp(2 pi i / 12): w = 4 and i = 3
         exponents = {Ket(a, a, c): 4 * a + 3 * c for a in (0, 1) for c in (0, 1)}
-        s = StateVector(D3, exponents, order=12, scale=4)
-        assert s.is_normalized()
+        s = StateVector(D3, exponents, order=12)
         assert not check_genuine_entanglement(s)
 
-    def test_unnormalized_rejected(self):
-        s = StateVector(D3, {Ket(0, 0, 0): 0}, scale=2)
-        with pytest.raises(ValueError, match="normalized"):
-            check_genuine_entanglement(s)
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            check_genuine_entanglement(StateVector(D3, {}))
 
     def test_census_on_c333(self):
         assert genuine_entanglement_census(c333()) == []
