@@ -19,6 +19,30 @@ E = I is the pair's unscaled overlap, a sum of at most min(w_a, w_b) roots
 of unity in Z[zeta_lcm(w_a, w_b)]; p exceeds the norm bound of every such
 sum, so the row's trace tells exactly whether the pair is orthogonal and no
 separate orthogonality pass is needed.
+
+Block reduction.  Let T != U be tuples of weights w, w' that share no ket;
+all w*w' of their state pairs are orthogonal (no common ket).  State n of T
+is sum_m F_w[n, m] |k_m>, F the Fourier matrix, so the row of the pair
+(n, n') is sum_{m, m'} conj(F_w[n, m]) F_w'[n', m'] f_{m, m'}, where
+f_{m, m'} is the unit functional E[proj k_m, proj k'_m'] when cut(k_m) =
+cut(k'_m') and 0 otherwise.  The block's rows are therefore the image of
+the f_{m, m'} under conj(F_w) (x) F_w'.  det(F_w)^2 = +/- w^w, and p > w,
+so that map is invertible mod p and the block spans exactly the unit rows
+f_{m, m'} over F_p, not only over C.  build_constraints emits those unit
+rows instead of the block, and every rank, dimension and identity test is
+unchanged.  This is a row-space identity, independent of the graph
+theorems.  Same-tuple pairs, and tuple pairs sharing a ket (where some
+pairs may be skipped), keep one row per state pair.
+
+Presolve.  A one-entry row fixes its unknown to 0.  nullspace strikes those
+unknowns from the other rows and eliminates only the residual, so rank =
+|zeroed| + residual rank; the identity is a solution iff no zeroed unknown
+is diagonal and it solves the residual.  SparseEliminator alone gives the
+same rank, identity test and basis, by making each unit row a pivot
+{u: 1}; the presolve is there for speed, since those pivots (every
+off-diagonal unknown on the paper's families) would otherwise be carried
+through every later reduction, residuals_zero and nullspace_basis; on
+odd d = 7 the presolve leaves nullspace about a quarter of the time.
 """
 
 from __future__ import annotations
@@ -27,7 +51,7 @@ import math
 from dataclasses import dataclass
 
 from .arithmetic import SparseEliminator, norm_bound, prime_field
-from .state_model import Partition, StateSet, expand_set
+from .state_model import Ket, Partition, StateSet, expand_tuple
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
 
@@ -73,13 +97,19 @@ def _field(S: StateSet) -> tuple[int, int, int]:
 def build_constraints(
     S: StateSet, p: Partition, force: bool = False
 ) -> ConstraintSystem:
-    """One row per ordered pair of distinct, mutually orthogonal states of S.
+    """The orthogonality-preservation rows of S on cut p, block-reduced.
 
-    A non-orthogonal pair carries no orthogonality to preserve, so its row is
-    dropped and counted in skipped_pairs; the pair is found from that row's
-    trace (its overlap).  The even-d family at d = 4 has such pairs: its
-    published kets collide and break orthogonality.  Systems above
-    RESOURCE_GUARD_UNKNOWNS unknowns are refused unless force is set.
+    Distinct tuples T, U that share no ket contribute the unit rows
+    E[proj k, proj k'] = 0, one per k in T, k' in U with cut(k) = cut(k'),
+    deduplicated and sorted; they span the rows of the block's w_T * w_U
+    state pairs (see the module docstring).  Every other ordered pair of
+    distinct states (same tuple, or tuples sharing a ket) gets its own row,
+    after the unit rows.  A non-orthogonal pair carries no orthogonality to
+    preserve, so its row is dropped and counted in skipped_pairs; the pair
+    is found from that row's trace (its overlap).  The even-d family at
+    d = 4 has such pairs: its published kets collide and break
+    orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
+    refused unless force is set.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -90,40 +120,72 @@ def build_constraints(
         )
     order, prime, root = _field(S)
     roots = [pow(root, e, prime) for e in range(order)]
-    states = expand_set(S)
     P = da * db
-    # per state: cut coordinate -> [(joint kept index, exponent mod order)]
-    by_cut: list[dict[int, list[tuple[int, int]]]] = []
     axis = p.cut_axis
     ka, kb = p.kept_axes
-    for s in states:
-        step = order // s.order
-        m: dict[int, list[tuple[int, int]]] = {}
-        for ket, e in s.exponents.items():
-            m.setdefault(ket[axis], []).append((ket[ka] * db + ket[kb], e * step))
-        by_cut.append(m)
-    rows: list[dict[int, int]] = []
+    tuples = S.tuples
+    # the cut index: cut coordinate -> [(tuple, joint kept index)]
+    index: dict[int, list[tuple[int, int]]] = {}
+    holders: dict[Ket, list[int]] = {}
+    for t, tup in enumerate(tuples):
+        for ket in tup.kets:
+            index.setdefault(ket[axis], []).append((t, ket[ka] * db + ket[kb]))
+            holders.setdefault(ket, []).append(t)
+    # partners[t]: t itself and every tuple sharing a ket with it
+    partners = [{t} for t in range(len(tuples))]
+    for ts in holders.values():
+        for t in ts:
+            partners[t].update(ts)
+    zeroed = {
+        i * P + j
+        for entries in index.values()
+        for t, i in entries
+        for u, j in entries
+        if u not in partners[t]
+    }
+    rows: list[dict[int, int]] = [{u: 1} for u in sorted(zeroed)]
+    # per state: cut coordinate -> [(joint kept index, exponent mod order)]
+    by_cut: list[dict[int, list[tuple[int, int]]]] = []
+    first: list[int] = []
+    for tup in tuples:
+        first.append(len(by_cut))
+        step = order // tup.weight
+        for s in expand_tuple(tup, S.dims):
+            m: dict[int, list[tuple[int, int]]] = {}
+            for ket, e in s.exponents.items():
+                m.setdefault(ket[axis], []).append(
+                    (ket[ka] * db + ket[kb], e * step)
+                )
+            by_cut.append(m)
     skipped = 0
-    for a, phi in enumerate(by_cut):
-        for b, psi in enumerate(by_cut):
-            if a == b:
-                continue
-            row: dict[int, int] = {}
-            for x, left in phi.items():
-                right = psi.get(x)
-                if right is None:
+    for t, tup in enumerate(tuples):
+        others = sorted(
+            b
+            for u in partners[t]
+            for b in range(first[u], first[u] + tuples[u].weight)
+        )
+        for a in range(first[t], first[t] + tup.weight):
+            phi = by_cut[a]
+            for b in others:
+                if a == b:
                     continue
-                for ia, ea in left:
-                    for ib, eb in right:
-                        u = ia * P + ib
-                        row[u] = row.get(u, 0) + roots[(eb - ea) % order]
-            # the trace, on the diagonal unknowns k*(P+1), is the overlap
-            if sum(v for u, v in row.items() if u % (P + 1) == 0) % prime:
-                skipped += 1
-                continue
-            rows.append({u: r for u, v in row.items() if (r := v % prime)})
+                psi = by_cut[b]
+                row: dict[int, int] = {}
+                for x, left in phi.items():
+                    right = psi.get(x)
+                    if right is None:
+                        continue
+                    for ia, ea in left:
+                        for ib, eb in right:
+                            u = ia * P + ib
+                            row[u] = row.get(u, 0) + roots[(eb - ea) % order]
+                # the trace, on the diagonal unknowns k*(P+1), is the overlap
+                if sum(v for u, v in row.items() if u % (P + 1) == 0) % prime:
+                    skipped += 1
+                    continue
+                rows.append({u: r for u, v in row.items() if (r := v % prime)})
     return ConstraintSystem(
-        p, (da, db), len(states), rows, order, prime, root, skipped
+        p, (da, db), len(by_cut), rows, order, prime, root, skipped
     )
 
 
@@ -153,21 +215,41 @@ def identity_vector(side: int) -> dict[int, int]:
 
 
 def nullspace(cs: ConstraintSystem) -> NullspaceResult:
-    """Dimension, rank and a basis of the solution space of cs mod p."""
+    """Dimension, rank and a basis of the solution space of cs mod p.
+
+    Presolve: a one-entry row fixes its unknown to 0, so those unknowns are
+    struck from every other row and only the residual rows are eliminated.
+    The zeroed unknowns add their count to the rank and get no basis vector.
+    """
+    zeroed = {u for row in cs.rows if len(row) == 1 for u in row}
     elim = SparseEliminator(cs.prime)
     for row in cs.rows:
-        elim.add_row(row)
+        if len(row) == 1:
+            continue
+        if not zeroed.isdisjoint(row):
+            row = {u: v for u, v in row.items() if u not in zeroed}
+        if row:
+            elim.add_row(row)
+    rank = len(zeroed) + elim.rank
+    diagonal = identity_vector(cs.side)
     return NullspaceResult(
         partition=cs.partition,
-        dimension=cs.n_unknowns - elim.rank,
-        rank=elim.rank,
+        dimension=cs.n_unknowns - rank,
+        rank=rank,
         n_unknowns=cs.n_unknowns,
         n_rows=len(cs.rows),
         skipped_pairs=cs.skipped_pairs,
-        contains_identity=elim.residuals_zero(identity_vector(cs.side)),
+        contains_identity=zeroed.isdisjoint(diagonal)
+        and elim.residuals_zero(diagonal),
         prime=cs.prime,
         side=cs.side,
-        basis=elim.nullspace_basis(cs.n_unknowns),
+        # residual rows never touch a zeroed unknown, so the eliminator's
+        # vector for a zeroed column is that column alone
+        basis=[
+            vec
+            for vec in elim.nullspace_basis(cs.n_unknowns)
+            if zeroed.isdisjoint(vec)
+        ],
     )
 
 

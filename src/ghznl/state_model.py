@@ -285,12 +285,25 @@ def check_genuine_entanglement(s: StateVector) -> bool:
 
 
 def genuine_entanglement_census(S: StateSet) -> list[int]:
-    """Indices (expansion order) of states failing genuine entanglement."""
-    return [
-        idx
-        for idx, s in enumerate(expand_set(S))
-        if not check_genuine_entanglement(s)
-    ]
+    """Indices (expansion order) of states failing genuine entanglement.
+
+    A coordinately different tuple of weight w >= 2 puts, on every cut, its
+    w cells in w distinct rows and w distinct columns of the cut matrix, so
+    its support is never a full rectangle and all w of its states have
+    Schmidt rank >= 2 on every cut.  Only the states of the other tuples
+    are checked.
+    """
+    failures: list[int] = []
+    idx = 0
+    for t in S.tuples:
+        if not t.is_coordinately_different():
+            failures.extend(
+                idx + n
+                for n, s in enumerate(expand_tuple(t, S.dims))
+                if not check_genuine_entanglement(s)
+            )
+        idx += t.weight
+    return failures
 
 
 def write_state_set(S: StateSet) -> str:

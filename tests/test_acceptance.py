@@ -82,10 +82,11 @@ def test_criterion_3_oracle_trivial_only():
                 assert r.contains_identity
                 assert r.prime >= 2**61
             assert time.monotonic() - t0 < 5.0
-        t0 = time.monotonic()
-        for r in oracle_all(odd_d(5)).values():
-            assert r.dimension == 1 and r.contains_identity
-        assert time.monotonic() - t0 < 60.0
+        for S in (odd_d(5), odd_d(7), odd_d(9), even_d(8), even_d(10)):
+            t0 = time.monotonic()
+            for r in oracle_all(S).values():
+                assert r.dimension == 1 and r.contains_identity
+            assert time.monotonic() - t0 < 60.0
 
 
 def test_criterion_4_equivalence_and_ablation():

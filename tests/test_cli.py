@@ -245,6 +245,63 @@ class TestOracle:
             assert (tmp_path / f"sys_{cut}.txt").exists()
 
 
+def rank_mod(rows, p):
+    """Rank mod p by plain forward elimination on dict rows."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {u: v * inv % p for u, v in row.items()}
+                break
+            f = row[c]
+            for u, v in pivots[c].items():
+                nv = (row.get(u, 0) - f * v) % p
+                if nv:
+                    row[u] = nv
+                else:
+                    row.pop(u, None)
+    return len(pivots)
+
+
+PAIR222_DOC = '{"dims": [2, 2, 2], "tuples": [{"weight": 2, "kets": [[0,0,0],[1,1,1]]}]}'
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--construction", "c333"],
+        ["--construction", "even", "--d", "4"],
+        ["--construction", "c444w4"],
+        ["--input", "pair.json"],
+    ],
+    ids=["c333", "even4", "c444w4", "pair222"],
+)
+def test_dump_rechecks_dimension(tmp_path, capsys, source):
+    """Each dumped system, eliminated mod its header's prime, has the
+    nullity printed on stdout."""
+    (tmp_path / "pair.json").write_text(PAIR222_DOC)
+    source = [str(tmp_path / a) if a.endswith(".json") else a for a in source]
+    prefix = tmp_path / "sys"
+    _, out, _ = run(capsys, "oracle", *source, "--dump-system", str(prefix))
+    printed = dict(
+        (line.split(":")[0][4:], int(line.split("dim=")[1].split()[0]))
+        for line in out.strip().splitlines()
+    )
+    assert set(printed) == {"A", "B", "C"}
+    for cut, dim in printed.items():
+        lines = (tmp_path / f"sys_{cut}.txt").read_text().splitlines()
+        header = dict(f.split("=") for f in lines[0][2:].split())
+        prime = int(header["prime"])
+        rows = [{} for _ in range(int(header["rows"]))]
+        for line in lines:
+            if not line.startswith("#"):
+                r, u, v = map(int, line.split())
+                rows[r][u] = v
+        assert int(header["unknowns"]) - rank_mod(rows, prime) == dim
+
 @pytest.mark.parametrize("command", ["certify", "graph", "oracle"])
 def test_d_rejected_with_input(tmp_path, capsys, command):
     doc = tmp_path / "c333.json"

@@ -19,6 +19,15 @@ D2 = SystemDims(2, 2, 2)
 D3 = SystemDims(3, 3, 3)
 
 PAIR222 = StateSet(D2, (GhzTuple(2, (Ket(0, 0, 0), Ket(1, 1, 1))),))
+OFF_DIAGONAL_9 = {u for u in range(81) if u % 10}
+
+
+def unit_rows(cs):
+    """The leading rows E[u] = 0 of a block-reduced system."""
+    n = 0
+    while n < len(cs.rows) and list(cs.rows[n].values()) == [1]:
+        n += 1
+    return cs.rows[:n]
 
 
 class TestBuildConstraints:
@@ -27,7 +36,11 @@ class TestBuildConstraints:
         assert cs.n_unknowns == 81
         assert cs.side == 9
         assert cs.n_states == 26
-        assert len(cs.rows) == 26 * 25
+        # every off-diagonal unknown is zeroed by a unit row (the 13 tuples
+        # share no ket), followed by the 13 * 2 same-tuple pair rows
+        assert len(unit_rows(cs)) == 72
+        assert cs.rows[:72] == [{u: 1} for u in sorted(OFF_DIAGONAL_9)]
+        assert len(cs.rows) == 72 + 26
         assert cs.order == 2
         assert cs.prime >= 2**61 and (cs.prime - 1) % cs.order == 0
         assert cs.skipped_pairs == 0
@@ -35,7 +48,9 @@ class TestBuildConstraints:
     def test_c444_coefficients_are_gaussian_units(self):
         cs = build_constraints(c444_weight4(), Partition.B)
         assert cs.n_unknowns == 256
-        assert len(cs.rows) == 64 * 63
+        # 240 off-diagonal unit rows, then 16 tuples x 4 x 3 same-tuple rows
+        assert len(unit_rows(cs)) == 240
+        assert len(cs.rows) == 240 + 192
         # the images of 1, i, -1, -i under i -> root
         assert cs.order == 4
         units = {pow(cs.root, k, cs.prime) for k in range(4)}
@@ -72,7 +87,10 @@ class TestBuildConstraints:
     def test_nonorthogonal_skip_counts_pairs(self):
         cs = build_constraints(even_d(4), Partition.A)
         assert cs.skipped_pairs == 16
-        assert len(cs.rows) == 58 * 57 - 16
+        # 240 unit rows; 29 tuples x 2 same-tuple rows, plus the 16 pairs of
+        # the ket-sharing tuples minus the 16 of them that are skipped
+        assert len(unit_rows(cs)) == 240
+        assert len(cs.rows) == 240 + 58
 
 
 P7 = 7

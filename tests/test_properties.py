@@ -90,6 +90,69 @@ def test_row_trace_finds_exactly_the_non_orthogonal_pairs(S):
         assert build_constraints(S, p).skipped_pairs == 2 * len(violations)
 
 
+def per_pair_reference(S, p, cs):
+    """The oracle's system before block reduction, over cs's field: one row
+    per ordered pair of distinct states, E[proj k, proj k'] weighted by
+    conj(phi[k]) * psi[k'] for kets k, k' that agree on the cut axis, and
+    the pair dropped (skipped) when the row's trace, its overlap, is
+    nonzero.  Returns (rows, skipped)."""
+    axis = "ABC".index(p.value)
+    # the two kept parties in the oracle's unknown order (y*db+z)*P + ...
+    ka, kb = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
+    dims = S.dims.as_tuple()
+    side = dims[ka] * dims[kb]
+
+    def joint(k):
+        return k[ka] * dims[kb] + k[kb]
+
+    roots = [pow(cs.root, e, cs.prime) for e in range(cs.order)]
+    states = [
+        {k: (cs.order // t.weight) * m * n for m, k in enumerate(t.kets)}
+        for t in S.tuples
+        for n in range(t.weight)
+    ]
+    rows, skipped = [], 0
+    for a, phi in enumerate(states):
+        for b, psi in enumerate(states):
+            if a == b:
+                continue
+            row = {}
+            for k, ea in phi.items():
+                for k2, eb in psi.items():
+                    if k[axis] == k2[axis]:
+                        u = joint(k) * side + joint(k2)
+                        row[u] = row.get(u, 0) + roots[(eb - ea) % cs.order]
+            trace = sum(v for u, v in row.items() if u % (side + 1) == 0)
+            if trace % cs.prime:
+                skipped += 1
+                continue
+            rows.append({u: r for u, v in row.items() if (r := v % cs.prime)})
+    return rows, skipped
+
+
+@settings(**SETTINGS)
+@given(overlapping_sets(max_tuples=4))
+def test_block_reduction_matches_per_pair_system(S):
+    for p in Partition:
+        cs = build_constraints(S, p)
+        ns = nullspace(cs)
+        rows, skipped = per_pair_reference(S, p, cs)
+        elim = SparseEliminator(cs.prime)
+        for row in rows:
+            if row:
+                elim.add_row(row)
+        assert ns.rank == elim.rank
+        assert ns.dimension == cs.n_unknowns - elim.rank
+        assert ns.skipped_pairs == skipped
+        assert ns.contains_identity == elim.residuals_zero(
+            identity_vector(cs.side)
+        )
+        assert len(ns.basis) == ns.dimension
+        for vec in ns.basis:
+            for row in rows:
+                assert sum(v * vec.get(u, 0) for u, v in row.items()) % cs.prime == 0
+
+
 @settings(**SETTINGS)
 @given(overlapping_sets(max_tuples=6))
 def test_mutual_orthogonality_matches_all_pairs_scan(S):
