@@ -29,6 +29,7 @@ SparseEliminator reduces sparse rows of residues for the nullspace oracle.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Collection
 
 MIN_PRIME = 1 << 61
 
@@ -170,10 +171,15 @@ class SparseEliminator:
             for prow in self.pivots.values()
         )
 
-    def nullspace_basis(self, n_unknowns: int) -> list[dict[int, int]]:
+    def nullspace_basis(
+        self, n_unknowns: int, fixed: Collection[int] = ()
+    ) -> list[dict[int, int]]:
+        """One vector per free column, in column order.  Columns in `fixed`
+        are known to be zero outside this eliminator's rows (they appear in
+        none of them) and get no vector."""
         basis = []
         for f in range(n_unknowns):
-            if f in self.pivots:
+            if f in self.pivots or f in fixed:
                 continue
             vec = {f: 1}
             for pc in self._col_index.get(f, ()):

@@ -5,6 +5,9 @@ The graph criterion is an equivalence for sets made only of weight-2 tuples
 one-directional sufficient condition when higher weights are present.  The
 nullspace oracle decides the defining property directly, so when both run the
 oracle's verdict wins.
+
+certify runs state_model.prepare once and hands the result to every
+hypothesis check and to the oracle.
 """
 
 from __future__ import annotations
@@ -13,15 +16,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .graphs import build_graph, build_path_graph, connected_components
+from .graphs import build_graph, connected_components
 from .oracle import NullspaceResult, ResourceGuardError, oracle_all
 from .state_model import (
     Partition,
+    Prepared,
     StateSet,
     check_mutual_orthogonality,
     check_plane_containing,
     check_special_set,
     genuine_entanglement_census,
+    prepare,
 )
 
 
@@ -100,27 +105,39 @@ class CertReport:
     notes: list[str] = field(default_factory=list)
 
 
-def check_hypotheses(S: StateSet) -> HypothesisResults:
+def check_hypotheses(
+    S: StateSet, prep: Optional[Prepared] = None
+) -> HypothesisResults:
+    if prep is None:
+        prep = prepare(S)
     return HypothesisResults(
-        special_set_offenders=check_special_set(S),
-        orthogonality_violations=check_mutual_orthogonality(S),
-        plane_witness=check_plane_containing(S),
-        entanglement_failures=genuine_entanglement_census(S),
+        special_set_offenders=check_special_set(S, prep),
+        orthogonality_violations=check_mutual_orthogonality(S, prep),
+        plane_witness=check_plane_containing(S, prep),
+        entanglement_failures=genuine_entanglement_census(S, prep),
     )
 
 
 def _analyze_partitions(S: StateSet) -> dict[Partition, PartitionAnalysis]:
+    """Component counts of each cut's graph.
+
+    The path graph has the full graph's vertices, and each tuple joins the
+    same projections in both, as a clique or as a path, so each tuple
+    merges the same components in both and the counts are equal.  One
+    graph per cut is built and its count is reported for both.
+    """
     out = {}
     for p in Partition:
-        full = connected_components(build_graph(S, p)).count
-        path = connected_components(build_path_graph(S, p)).count
-        out[p] = PartitionAnalysis(p, full, path)
+        count = connected_components(build_graph(S, p)).count
+        out[p] = PartitionAnalysis(p, count, count)
     return out
 
 
-def certify_via_graphs(S: StateSet) -> CertReport:
+def certify_via_graphs(
+    S: StateSet, prep: Optional[Prepared] = None
+) -> CertReport:
     """Apply the connectivity criterion and report the certificate."""
-    hyp = check_hypotheses(S)
+    hyp = check_hypotheses(S, prep)
     parts = _analyze_partitions(S)
     all_connected = all(a.full_connected for a in parts.values())
     notes: list[str] = []
@@ -162,11 +179,13 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     consulted when that criterion cannot decide); 'both' always runs both
     and records agreement; 'oracle' does the same as 'both', since the graph
     route's hypotheses and partitions go into every report.  The oracle
-    verdict takes precedence whenever it ran.
+    verdict takes precedence whenever it ran.  The set is prepared once
+    and that one Prepared value is read by every check and the oracle.
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
-    report = certify_via_graphs(S)
+    prep = prepare(S)
+    report = certify_via_graphs(S, prep)
     want_oracle = method in ("oracle", "both") or report.verdict in (
         Verdict.INCONCLUSIVE,
         Verdict.HYPOTHESES_VIOLATED,
@@ -176,7 +195,7 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     try:
         # orthogonality violations are already reported in the hypotheses;
         # the oracle then constrains only the pairs that are orthogonal
-        results = oracle_all(S, force=force)
+        results = oracle_all(S, force=force, prep=prep)
         skipped = sum(r.skipped_pairs for r in results.values())
         if skipped:
             report.notes.append(

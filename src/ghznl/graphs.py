@@ -9,6 +9,7 @@ the certificate the certifier relies on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,10 +17,6 @@ from .state_model import Partition, StateSet, SystemDims
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
-
-
-def _edge(u: Vertex, v: Vertex) -> Edge:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -50,26 +47,25 @@ def _vertices(dims: SystemDims, p: Partition) -> frozenset[Vertex]:
     return frozenset((a, b) for a in range(da) for b in range(db))
 
 
+def _projections(S: StateSet, p: Partition) -> Iterable[list[Vertex]]:
+    """Each tuple's distinct projected kets, sorted."""
+    a, b = p.kept_axes
+    return (sorted({(k[a], k[b]) for k in t.kets}) for t in S.tuples)
+
+
 def build_graph(S: StateSet, p: Partition) -> PartitionGraph:
     """Full graph: every tuple adds a complete graph on its projections."""
-    edges = set()
-    for t in S.tuples:
-        proj = [p.project(k) for k in t.kets]
-        for a in range(len(proj)):
-            for b in range(a + 1, len(proj)):
-                if proj[a] != proj[b]:
-                    edges.add(_edge(proj[a], proj[b]))
+    edges: set[Edge] = set()
+    for proj in _projections(S, p):
+        edges.update(itertools.combinations(proj, 2))
     return PartitionGraph(p, _vertices(S.dims, p), frozenset(edges), "full")
 
 
 def build_path_graph(S: StateSet, p: Partition) -> PartitionGraph:
     """Path subgraph: consecutive edges after sorting projections per tuple."""
-    edges = set()
-    for t in S.tuples:
-        proj = sorted(p.project(k) for k in t.kets)
-        for a in range(len(proj) - 1):
-            if proj[a] != proj[a + 1]:
-                edges.add(_edge(proj[a], proj[a + 1]))
+    edges: set[Edge] = set()
+    for proj in _projections(S, p):
+        edges.update(zip(proj, proj[1:]))
     return PartitionGraph(p, _vertices(S.dims, p), frozenset(edges), "path")
 
 

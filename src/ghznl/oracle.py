@@ -49,9 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .arithmetic import SparseEliminator, norm_bound, prime_field
-from .state_model import Ket, Partition, StateSet, expand_tuple
+from .state_model import Partition, Prepared, StateSet, expand_tuple, prepare
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
 
@@ -95,7 +96,7 @@ def _field(S: StateSet) -> tuple[int, int, int]:
 
 
 def build_constraints(
-    S: StateSet, p: Partition, force: bool = False
+    S: StateSet, p: Partition, force: bool = False, prep: Optional[Prepared] = None
 ) -> ConstraintSystem:
     """The orthogonality-preservation rows of S on cut p, block-reduced.
 
@@ -109,7 +110,8 @@ def build_constraints(
     is found from that row's trace (its overlap).  The even-d family at
     d = 4 has such pairs: its published kets collide and break
     orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
-    refused unless force is set.
+    refused unless force is set.  The tuple offsets and ket-sharing
+    partners come from prep (state_model.prepare), built here if absent.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -118,24 +120,20 @@ def build_constraints(
             f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
             f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
         )
+    if prep is None:
+        prep = prepare(S)
     order, prime, root = _field(S)
     roots = [pow(root, e, prime) for e in range(order)]
     P = da * db
     axis = p.cut_axis
     ka, kb = p.kept_axes
     tuples = S.tuples
+    first, partners = prep.first, prep.partners
     # the cut index: cut coordinate -> [(tuple, joint kept index)]
     index: dict[int, list[tuple[int, int]]] = {}
-    holders: dict[Ket, list[int]] = {}
     for t, tup in enumerate(tuples):
         for ket in tup.kets:
             index.setdefault(ket[axis], []).append((t, ket[ka] * db + ket[kb]))
-            holders.setdefault(ket, []).append(t)
-    # partners[t]: t itself and every tuple sharing a ket with it
-    partners = [{t} for t in range(len(tuples))]
-    for ts in holders.values():
-        for t in ts:
-            partners[t].update(ts)
     zeroed = {
         i * P + j
         for entries in index.values()
@@ -146,9 +144,7 @@ def build_constraints(
     rows: list[dict[int, int]] = [{u: 1} for u in sorted(zeroed)]
     # per state: cut coordinate -> [(joint kept index, exponent mod order)]
     by_cut: list[dict[int, list[tuple[int, int]]]] = []
-    first: list[int] = []
     for tup in tuples:
-        first.append(len(by_cut))
         step = order // tup.weight
         for s in expand_tuple(tup, S.dims):
             m: dict[int, list[tuple[int, int]]] = {}
@@ -243,28 +239,24 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
         and elim.residuals_zero(diagonal),
         prime=cs.prime,
         side=cs.side,
-        # residual rows never touch a zeroed unknown, so the eliminator's
-        # vector for a zeroed column is that column alone
-        basis=[
-            vec
-            for vec in elim.nullspace_basis(cs.n_unknowns)
-            if zeroed.isdisjoint(vec)
-        ],
+        basis=elim.nullspace_basis(cs.n_unknowns, fixed=zeroed),
     )
 
 
 def oracle_verdict(
-    S: StateSet, p: Partition, force: bool = False
+    S: StateSet, p: Partition, force: bool = False, prep: Optional[Prepared] = None
 ) -> NullspaceResult:
     """trivial-only iff the constraint nullspace is exactly span(identity)."""
-    return nullspace(build_constraints(S, p, force=force))
+    return nullspace(build_constraints(S, p, force=force, prep=prep))
 
 
 def oracle_all(
-    S: StateSet, force: bool = False
+    S: StateSet, force: bool = False, prep: Optional[Prepared] = None
 ) -> dict[Partition, NullspaceResult]:
     """Strongest-nonlocal overall iff every partition reports trivial-only."""
-    return {p: oracle_verdict(S, p, force=force) for p in Partition}
+    if prep is None:
+        prep = prepare(S)
+    return {p: oracle_verdict(S, p, force=force, prep=prep) for p in Partition}
 
 
 def dump_system(cs: ConstraintSystem) -> str:

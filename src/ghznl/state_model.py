@@ -8,7 +8,11 @@ decided exactly over the prime field of arithmetic.py, and Schmidt rank from
 the exponents alone.
 Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
-containment, and genuine entanglement.
+containment, and genuine entanglement.  prepare() computes once what the
+validators, the certifier and the oracle all read (tuple offsets, ket
+holders, ket-sharing partners, coordinately-different flags); each of
+them takes it as an optional trailing argument and builds its own when
+it is absent.
 """
 
 from __future__ import annotations
@@ -58,14 +62,10 @@ class Partition(Enum):
     B = "B"
     C = "C"
 
-    @property
-    def cut_axis(self) -> int:
-        return {"A": 0, "B": 1, "C": 2}[self.value]
-
-    @property
-    def kept_axes(self) -> tuple[int, int]:
-        """Axes of the two non-cut parties, in the paper's vertex order."""
-        return {"A": (1, 2), "B": (2, 0), "C": (0, 1)}[self.value]
+    def __init__(self, value: str):
+        self.cut_axis = "ABC".index(value)
+        # axes of the two non-cut parties, in the paper's vertex order
+        self.kept_axes = ((self.cut_axis + 1) % 3, (self.cut_axis + 2) % 3)
 
     def project(self, ket: Ket) -> tuple[int, int]:
         """Joint coordinates of the two non-cut parties."""
@@ -99,9 +99,7 @@ class GhzTuple:
 
     def is_coordinately_different(self) -> bool:
         """True iff each party's coordinates are pairwise distinct."""
-        return all(
-            len({ket[axis] for ket in self.kets}) == self.weight for axis in range(3)
-        )
+        return all(len(set(coords)) == self.weight for coords in zip(*self.kets))
 
 
 @dataclass(frozen=True)
@@ -171,6 +169,42 @@ def expand_set(S: StateSet) -> list[StateVector]:
     return out
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """Per-tuple facts of one state set, read by several checks."""
+
+    # each tuple's first index in expansion order
+    first: tuple[int, ...]
+    # ket -> the tuples holding it
+    holders: dict[Ket, list[int]]
+    # partners[t]: t and every tuple that shares a ket with t
+    partners: tuple[frozenset[int], ...]
+    coordinately_different: tuple[bool, ...]
+
+
+def prepare(S: StateSet) -> Prepared:
+    """One pass over the tuples of S; no state is expanded."""
+    first: list[int] = []
+    holders: dict[Ket, list[int]] = {}
+    n = 0
+    for t, tup in enumerate(S.tuples):
+        first.append(n)
+        n += tup.weight
+        for ket in tup.kets:
+            holders.setdefault(ket, []).append(t)
+    partners = [{t} for t in range(len(S.tuples))]
+    for ts in holders.values():
+        if len(ts) > 1:
+            for t in ts:
+                partners[t].update(ts)
+    return Prepared(
+        tuple(first),
+        holders,
+        tuple(map(frozenset, partners)),
+        tuple(t.is_coordinately_different() for t in S.tuples),
+    )
+
+
 def _overlap_terms(s1: StateVector, s2: StateVector) -> tuple[int, list[int]]:
     """(L, exponents): the unscaled overlap <s1|s2> is the sum of omega_L^e
     over the exponents, one per shared ket (conjugation negates e)."""
@@ -195,25 +229,37 @@ def states_orthogonal(s1: StateVector, s2: StateVector) -> bool:
     return sum(pow(r, e, p) for e in terms) % p == 0
 
 
-def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
+def check_mutual_orthogonality(
+    S: StateSet, prep: Optional[Prepared] = None
+) -> list[tuple[int, int]]:
     """Indices (in expansion order) of non-orthogonal state pairs; empty = pass.
 
-    States with no ket in common have overlap 0, so only the pairs that
-    share a ket are tested.
+    Only pairs of distinct tuples that share a ket are tested, and only
+    the tuples in such pairs are expanded, once each.  States with no ket
+    in common have overlap 0, and every state of a tuple is supported on
+    all its kets.  Two states n != n' of one tuple need no test: the kets
+    of a GhzTuple are distinct, so their overlap is
+    sum_m omega^(m (n' - n)) / w = 0, the product of two distinct rows of
+    the Fourier matrix.  A set where no two tuples share a ket expands
+    nothing.
     """
-    states = expand_set(S)
-    holders: dict[Ket, list[int]] = {}
-    for idx, s in enumerate(states):
-        for ket in s.exponents:
-            holders.setdefault(ket, []).append(idx)
-    pairs = {
-        (a, b)
-        for idxs in holders.values()
-        for n, a in enumerate(idxs)
-        for b in idxs[n + 1:]
-    }
+    if prep is None:
+        prep = prepare(S)
+    pairs = [
+        (t, u)
+        for t, partners in enumerate(prep.partners)
+        if len(partners) > 1
+        for u in sorted(partners)
+        if u > t
+    ]
+    sharing = {t for pair in pairs for t in pair}
+    states = {t: expand_tuple(S.tuples[t], S.dims) for t in sharing}
     return sorted(
-        (a, b) for a, b in pairs if not states_orthogonal(states[a], states[b])
+        (prep.first[t] + n, prep.first[u] + m)
+        for t, u in pairs
+        for n, s1 in enumerate(states[t])
+        for m, s2 in enumerate(states[u])
+        if not states_orthogonal(s1, s2)
     )
 
 
@@ -222,10 +268,14 @@ def coordinate_set(S: StateSet) -> set[tuple[int, int, int]]:
     return {tuple(ket) for t in S.tuples for ket in t.kets}
 
 
-def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
+def check_plane_containing(
+    S: StateSet, prep: Optional[Prepared] = None
+) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest (i0, j0, k0) whose three coordinate planes
     all lie inside the coordinate set, or None."""
-    coords = coordinate_set(S)
+    if prep is None:
+        prep = prepare(S)
+    coords = prep.holders  # its keys are the coordinate set
     dims = S.dims.as_tuple()
     witness = []
     for axis, d in enumerate(dims):
@@ -247,9 +297,11 @@ def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     return tuple(witness)
 
 
-def check_special_set(S: StateSet) -> list[int]:
+def check_special_set(S: StateSet, prep: Optional[Prepared] = None) -> list[int]:
     """Indices of tuples that are not coordinately different; empty = pass."""
-    return [i for i, t in enumerate(S.tuples) if not t.is_coordinately_different()]
+    if prep is None:
+        prep = prepare(S)
+    return [i for i, cd in enumerate(prep.coordinately_different) if not cd]
 
 
 def check_genuine_entanglement(s: StateVector) -> bool:
@@ -284,7 +336,9 @@ def check_genuine_entanglement(s: StateVector) -> bool:
     return True
 
 
-def genuine_entanglement_census(S: StateSet) -> list[int]:
+def genuine_entanglement_census(
+    S: StateSet, prep: Optional[Prepared] = None
+) -> list[int]:
     """Indices (expansion order) of states failing genuine entanglement.
 
     A coordinately different tuple of weight w >= 2 puts, on every cut, its
@@ -293,16 +347,16 @@ def genuine_entanglement_census(S: StateSet) -> list[int]:
     Schmidt rank >= 2 on every cut.  Only the states of the other tuples
     are checked.
     """
+    if prep is None:
+        prep = prepare(S)
     failures: list[int] = []
-    idx = 0
-    for t in S.tuples:
-        if not t.is_coordinately_different():
+    for t, tup in enumerate(S.tuples):
+        if not prep.coordinately_different[t]:
             failures.extend(
-                idx + n
-                for n, s in enumerate(expand_tuple(t, S.dims))
+                prep.first[t] + n
+                for n, s in enumerate(expand_tuple(tup, S.dims))
                 if not check_genuine_entanglement(s)
             )
-        idx += t.weight
     return failures
 
 

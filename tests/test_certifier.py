@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import ghznl
 from ghznl.certifier import (
     CertReport,
     Verdict,
@@ -194,3 +196,31 @@ class TestReportToDict:
     def test_graph_only_report_omits_oracle(self):
         doc = report_to_dict(certify(c333(), method="graph"))
         assert "oracle" not in doc
+
+
+def _spy(monkeypatch, fn, calls):
+    """Replace fn in every ghznl module that refers to it by a wrapper that
+    appends the name of its caller to calls."""
+
+    def spy(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ghznl"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, spy)
+
+
+class TestOnePreparationPass:
+    def test_certify_prepares_once_and_builds_no_path_graph(self, monkeypatch):
+        prepared, paths, expanded = [], [], []
+        _spy(monkeypatch, ghznl.state_model.prepare, prepared)
+        _spy(monkeypatch, ghznl.graphs.build_path_graph, paths)
+        _spy(monkeypatch, ghznl.state_model.expand_tuple, expanded)
+        r = certify(odd_d(5), method="both")
+        assert r.verdict is Verdict.STRONGEST_NONLOCAL
+        assert prepared == ["certify"]
+        assert paths == []
+        assert expanded and set(expanded) == {"build_constraints"}

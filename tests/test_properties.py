@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from ghznl.arithmetic import SparseEliminator, norm_bound, prime_field
 from ghznl.certifier import certify
-from ghznl.graphs import build_graph, build_path_graph, is_connected
+from ghznl.graphs import (
+    build_graph,
+    build_path_graph,
+    connected_components,
+    is_connected,
+)
 from ghznl.oracle import build_constraints, identity_vector, nullspace
 from ghznl.state_model import (
     GhzTuple,
@@ -225,6 +230,9 @@ def test_path_subgraph_and_connectivity_implication(S):
         path = build_path_graph(S, p)
         assert path.vertices == full.vertices
         assert path.edges <= full.edges
+        assert (
+            connected_components(path).count == connected_components(full).count
+        )
         if is_connected(path):
             assert is_connected(full)
 
