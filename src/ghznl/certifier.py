@@ -6,8 +6,8 @@ one-directional sufficient condition when higher weights are present.  The
 nullspace oracle decides the defining property directly, so when both run the
 oracle's verdict wins.
 
-certify runs state_model.prepare once and hands the result to every
-hypothesis check and to the oracle.
+certify runs state_model.prepare once and hands the result to the
+hypothesis checks and the oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .state_model import (
     check_special_set,
     genuine_entanglement_census,
     prepare,
+    prepared_for,
 )
 
 
@@ -108,12 +109,11 @@ class CertReport:
 def check_hypotheses(
     S: StateSet, prep: Optional[Prepared] = None
 ) -> HypothesisResults:
-    if prep is None:
-        prep = prepare(S)
+    prep = prepared_for(S, prep)
     return HypothesisResults(
         special_set_offenders=check_special_set(S, prep),
         orthogonality_violations=check_mutual_orthogonality(S, prep),
-        plane_witness=check_plane_containing(S, prep),
+        plane_witness=check_plane_containing(S),
         entanglement_failures=genuine_entanglement_census(S, prep),
     )
 

@@ -52,7 +52,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arithmetic import SparseEliminator, norm_bound, prime_field
-from .state_model import Partition, Prepared, StateSet, expand_tuple, prepare
+from .state_model import (
+    Partition,
+    Prepared,
+    StateSet,
+    expand_tuple,
+    prepared_for,
+)
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
 
@@ -111,7 +117,7 @@ def build_constraints(
     d = 4 has such pairs: its published kets collide and break
     orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
     refused unless force is set.  The tuple offsets and ket-sharing
-    partners come from prep (state_model.prepare), built here if absent.
+    partners come from prep (state_model.prepare), prepared here if absent.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -120,8 +126,7 @@ def build_constraints(
             f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
             f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
         )
-    if prep is None:
-        prep = prepare(S)
+    prep = prepared_for(S, prep)
     order, prime, root = _field(S)
     roots = [pow(root, e, prime) for e in range(order)]
     P = da * db
@@ -254,8 +259,7 @@ def oracle_all(
     S: StateSet, force: bool = False, prep: Optional[Prepared] = None
 ) -> dict[Partition, NullspaceResult]:
     """Strongest-nonlocal overall iff every partition reports trivial-only."""
-    if prep is None:
-        prep = prepare(S)
+    prep = prepared_for(S, prep)
     return {p: oracle_verdict(S, p, force=force, prep=prep) for p in Partition}
 
 

@@ -9,10 +9,10 @@ the exponents alone.
 Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.  prepare() computes once what the
-validators, the certifier and the oracle all read (tuple offsets, ket
-holders, ket-sharing partners, coordinately-different flags); each of
-them takes it as an optional trailing argument and builds its own when
-it is absent.
+validators, the certifier and the oracle all read (tuple offsets,
+ket-sharing partners, coordinately-different flags); each of them takes
+it as an optional trailing argument, builds its own when it is absent and
+refuses one prepared from another set.
 """
 
 from __future__ import annotations
@@ -173,10 +173,10 @@ def expand_set(S: StateSet) -> list[StateVector]:
 class Prepared:
     """Per-tuple facts of one state set, read by several checks."""
 
+    # the set these facts describe
+    S: StateSet
     # each tuple's first index in expansion order
     first: tuple[int, ...]
-    # ket -> the tuples holding it
-    holders: dict[Ket, list[int]]
     # partners[t]: t and every tuple that shares a ket with t
     partners: tuple[frozenset[int], ...]
     coordinately_different: tuple[bool, ...]
@@ -198,11 +198,24 @@ def prepare(S: StateSet) -> Prepared:
             for t in ts:
                 partners[t].update(ts)
     return Prepared(
+        S,
         tuple(first),
-        holders,
         tuple(map(frozenset, partners)),
         tuple(t.is_coordinately_different() for t in S.tuples),
     )
+
+
+def prepared_for(S: StateSet, prep: Optional[Prepared]) -> Prepared:
+    """prep if it was prepared from S itself, prepare(S) if prep is None.
+
+    A Prepared value from any other set object raises ValueError, since its
+    offsets and partners would index the wrong tuples.
+    """
+    if prep is None:
+        return prepare(S)
+    if prep.S is not S:
+        raise ValueError("prep was prepared from a different state set")
+    return prep
 
 
 def _overlap_terms(s1: StateVector, s2: StateVector) -> tuple[int, list[int]]:
@@ -243,8 +256,7 @@ def check_mutual_orthogonality(
     the Fourier matrix.  A set where no two tuples share a ket expands
     nothing.
     """
-    if prep is None:
-        prep = prepare(S)
+    prep = prepared_for(S, prep)
     pairs = [
         (t, u)
         for t, partners in enumerate(prep.partners)
@@ -265,17 +277,13 @@ def check_mutual_orthogonality(
 
 def coordinate_set(S: StateSet) -> set[tuple[int, int, int]]:
     """All coordinate triples appearing in any tuple of S."""
-    return {tuple(ket) for t in S.tuples for ket in t.kets}
+    return {ket for t in S.tuples for ket in t.kets}
 
 
-def check_plane_containing(
-    S: StateSet, prep: Optional[Prepared] = None
-) -> Optional[tuple[int, int, int]]:
+def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest (i0, j0, k0) whose three coordinate planes
     all lie inside the coordinate set, or None."""
-    if prep is None:
-        prep = prepare(S)
-    coords = prep.holders  # its keys are the coordinate set
+    coords = coordinate_set(S)
     dims = S.dims.as_tuple()
     witness = []
     for axis, d in enumerate(dims):
@@ -299,8 +307,7 @@ def check_plane_containing(
 
 def check_special_set(S: StateSet, prep: Optional[Prepared] = None) -> list[int]:
     """Indices of tuples that are not coordinately different; empty = pass."""
-    if prep is None:
-        prep = prepare(S)
+    prep = prepared_for(S, prep)
     return [i for i, cd in enumerate(prep.coordinately_different) if not cd]
 
 
@@ -347,8 +354,7 @@ def genuine_entanglement_census(
     Schmidt rank >= 2 on every cut.  Only the states of the other tuples
     are checked.
     """
-    if prep is None:
-        prep = prepare(S)
+    prep = prepared_for(S, prep)
     failures: list[int] = []
     for t, tup in enumerate(S.tuples):
         if not prep.coordinately_different[t]:

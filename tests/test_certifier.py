@@ -224,3 +224,41 @@ class TestOnePreparationPass:
         assert prepared == ["certify"]
         assert paths == []
         assert expanded and set(expanded) == {"build_constraints"}
+
+
+class TestPrepared:
+    def _consumers(self, S, prep):
+        return {
+            "check_special_set": lambda: ghznl.state_model.check_special_set(S, prep),
+            "check_mutual_orthogonality": lambda: (
+                ghznl.state_model.check_mutual_orthogonality(S, prep)
+            ),
+            "genuine_entanglement_census": lambda: (
+                ghznl.state_model.genuine_entanglement_census(S, prep)
+            ),
+            "check_hypotheses": lambda: check_hypotheses(S, prep),
+            "certify_via_graphs": lambda: report_to_dict(certify_via_graphs(S, prep)),
+            "build_constraints": lambda: ghznl.oracle.build_constraints(
+                S, Partition.A, prep=prep
+            ),
+            "oracle_verdict": lambda: ghznl.oracle.oracle_verdict(
+                S, Partition.B, prep=prep
+            ),
+            "oracle_all": lambda: ghznl.oracle.oracle_all(S, prep=prep),
+        }
+
+    def test_prep_of_another_set_is_refused(self):
+        S = even_d(4)
+        # an equal set that is a different object is refused as well
+        for other in (c333(), even_d(4)):
+            prep = ghznl.state_model.prepare(other)
+            for call in self._consumers(S, prep).values():
+                with pytest.raises(ValueError, match="different state set"):
+                    call()
+
+    def test_prep_of_the_same_set_gives_the_standalone_results(self):
+        S = even_d(4)
+        shared = self._consumers(S, ghznl.state_model.prepare(S))
+        alone = self._consumers(S, None)
+        for name in shared:
+            assert shared[name]() == alone[name](), name
