@@ -8,6 +8,7 @@ or a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -28,6 +29,7 @@ from .state_model import (
     StateSet,
     StateSetFormatError,
     parse_state_set,
+    prepare,
     write_state_set,
 )
 
@@ -156,10 +158,11 @@ def cmd_graph(args) -> int:
 
 def cmd_oracle(args) -> int:
     S, _ = _load_set(args)
+    prep = prepare(S)
     all_trivial = True
     try:
         for p in _partitions(args.partition):
-            cs = build_constraints(S, p, force=args.force)
+            cs = build_constraints(S, p, force=args.force, prep=prep)
             if args.dump_system is not None:
                 path = Path(f"{args.dump_system}_{p.value}.txt")
                 path.write_text(dump_system(cs), encoding="utf-8")
@@ -177,7 +180,10 @@ def cmd_oracle(args) -> int:
     return EXIT_STRONGEST if all_trivial else EXIT_NOT_STRONGEST
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args returns a
+    fresh Namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="ghznl",
         description="Certify strongest nonlocality of tripartite GHZ-like "

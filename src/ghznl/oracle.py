@@ -31,8 +31,22 @@ so that map is invertible mod p and the block spans exactly the unit rows
 f_{m, m'} over F_p, not only over C.  build_constraints emits those unit
 rows instead of the block, and every rank, dimension and identity test is
 unchanged.  This is a row-space identity, independent of the graph
-theorems.  Same-tuple pairs, and tuple pairs sharing a ket (where some
-pairs may be skipped), keep one row per state pair.
+theorems.  Tuple pairs sharing a ket (where some pairs may be skipped)
+keep one row per state pair.
+
+Same-tuple blocks.  Call a tuple spread on the cut when its kets' cut
+coordinates are pairwise distinct (every coordinately different tuple is
+spread on every cut), and let q_m be the joint kept index of its ket k_m.
+For states n != n' of a spread tuple only the m = m' terms survive, so
+the pair's row is sum_m omega^(m (n' - n)) E[q_m, q_m]: row k = n' - n != 0
+of F_w, mapped by e_m -> E[q_m, q_m].  Each such row sums to 0, and F_w is
+invertible mod p (p > w), so over F_p its w - 1 distinct rows span the
+whole sum-zero hyperplane, whose image is spanned by the w - 1 difference
+rows E[q_0, q_0] - E[q_m, q_m] (the zero row when q_m = q_0, dropped).
+build_constraints emits those rows straight from the kets and expands
+a tuple only when it shares a ket or is not spread on the cut; the own
+pairs of a tuple that is not spread keep one row per state pair.  A
+same-tuple pair is always orthogonal, so none is ever skipped.
 
 Presolve.  A one-entry row fixes its unknown to 0.  nullspace strikes those
 unknowns from the other rows and eliminates only the residual, so rank =
@@ -109,9 +123,13 @@ def build_constraints(
     Distinct tuples T, U that share no ket contribute the unit rows
     E[proj k, proj k'] = 0, one per k in T, k' in U with cut(k) = cut(k'),
     deduplicated and sorted; they span the rows of the block's w_T * w_U
-    state pairs (see the module docstring).  Every other ordered pair of
-    distinct states (same tuple, or tuples sharing a ket) gets its own row,
-    after the unit rows.  A non-orthogonal pair carries no orthogonality to
+    state pairs (see the module docstring).  Next, each tuple spread on
+    the cut (pairwise distinct cut coordinates) contributes the w - 1
+    diagonal difference rows E[q_0, q_0] - E[q_m, q_m], q_m != q_0, which
+    span the rows of its own state pairs.  Last, every other ordered pair
+    of distinct states (tuples sharing a ket, or two states of a tuple not
+    spread on the cut) gets its own row; only the tuples in such pairs are
+    expanded.  A non-orthogonal pair carries no orthogonality to
     preserve, so its row is dropped and counted in skipped_pairs; the pair
     is found from that row's trace (its overlap).  The even-d family at
     d = 4 has such pairs: its published kets collide and break
@@ -147,25 +165,35 @@ def build_constraints(
         if u not in partners[t]
     }
     rows: list[dict[int, int]] = [{u: 1} for u in sorted(zeroed)]
-    # per state: cut coordinate -> [(joint kept index, exponent mod order)]
-    by_cut: list[dict[int, list[tuple[int, int]]]] = []
-    for tup in tuples:
+    # same-tuple blocks of the tuples spread on this cut, in closed form
+    spread = [len({ket[axis] for ket in tup.kets}) == tup.weight for tup in tuples]
+    for t, tup in enumerate(tuples):
+        if spread[t]:
+            d0, *rest = ((ket[ka] * db + ket[kb]) * (P + 1) for ket in tup.kets)
+            rows.extend({d0: 1, d: prime - 1} for d in rest if d != d0)
+    # per-pair rows: pairs of ket-sharing tuples, and the own pairs of the
+    # tuples not spread on this cut
+    pairs = {
+        t: sorted(u for u in partners[t] if u != t or not spread[t])
+        for t in range(len(tuples))
+        if len(partners[t]) > 1 or not spread[t]
+    }
+    # per expanded state: cut coordinate -> [(joint kept index, exponent mod order)]
+    by_cut: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for t in pairs:
+        tup = tuples[t]
         step = order // tup.weight
-        for s in expand_tuple(tup, S.dims):
+        for n, s in enumerate(expand_tuple(tup, S.dims), first[t]):
             m: dict[int, list[tuple[int, int]]] = {}
             for ket, e in s.exponents.items():
                 m.setdefault(ket[axis], []).append(
                     (ket[ka] * db + ket[kb], e * step)
                 )
-            by_cut.append(m)
+            by_cut[n] = m
     skipped = 0
-    for t, tup in enumerate(tuples):
-        others = sorted(
-            b
-            for u in partners[t]
-            for b in range(first[u], first[u] + tuples[u].weight)
-        )
-        for a in range(first[t], first[t] + tup.weight):
+    for t, us in pairs.items():
+        others = [b for u in us for b in range(first[u], first[u] + tuples[u].weight)]
+        for a in range(first[t], first[t] + tuples[t].weight):
             phi = by_cut[a]
             for b in others:
                 if a == b:
@@ -186,7 +214,7 @@ def build_constraints(
                     continue
                 rows.append({u: r for u, v in row.items() if (r := v % prime)})
     return ConstraintSystem(
-        p, (da, db), len(by_cut), rows, order, prime, root, skipped
+        p, (da, db), S.n_states, rows, order, prime, root, skipped
     )
 
 

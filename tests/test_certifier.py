@@ -223,7 +223,28 @@ class TestOnePreparationPass:
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert prepared == ["certify"]
         assert paths == []
-        assert expanded and set(expanded) == {"build_constraints"}
+        # no two tuples share a ket and every tuple is coordinately
+        # different, so no state is expanded at all
+        assert expanded == []
+
+    def test_oracle_expands_only_ket_sharing_tuples(self, monkeypatch):
+        # even4's tuples 16, 27 and 17, 28 share a ket; every other tuple is
+        # spread on every cut and shares none, so the oracle expands only
+        # those four, once per cut
+        S = even_d(4)
+        prepared, expanded = [], []
+        _spy(monkeypatch, ghznl.state_model.prepare, prepared)
+        original = ghznl.state_model.expand_tuple
+
+        def spy(t, dims):
+            expanded.append(S.tuples.index(t))
+            return original(t, dims)
+
+        monkeypatch.setattr(ghznl.oracle, "expand_tuple", spy)
+        r = certify(S, method="both")
+        assert r.verdict is Verdict.STRONGEST_NONLOCAL
+        assert prepared == ["certify"]
+        assert sorted(expanded) == sorted(3 * [16, 17, 27, 28])
 
 
 class TestPrepared:

@@ -37,10 +37,13 @@ class TestBuildConstraints:
         assert cs.side == 9
         assert cs.n_states == 26
         # every off-diagonal unknown is zeroed by a unit row (the 13 tuples
-        # share no ket), followed by the 13 * 2 same-tuple pair rows
+        # share no ket), followed by one diagonal difference row per tuple
         assert len(unit_rows(cs)) == 72
         assert cs.rows[:72] == [{u: 1} for u in sorted(OFF_DIAGONAL_9)]
-        assert len(cs.rows) == 72 + 26
+        assert len(cs.rows) == 72 + 13
+        for row in cs.rows[72:]:
+            assert len(row) == 2 and not set(row) & OFF_DIAGONAL_9
+            assert sorted(row.values()) == [1, cs.prime - 1]
         assert cs.order == 2
         assert cs.prime >= 2**61 and (cs.prime - 1) % cs.order == 0
         assert cs.skipped_pairs == 0
@@ -48,9 +51,9 @@ class TestBuildConstraints:
     def test_c444_coefficients_are_gaussian_units(self):
         cs = build_constraints(c444_weight4(), Partition.B)
         assert cs.n_unknowns == 256
-        # 240 off-diagonal unit rows, then 16 tuples x 4 x 3 same-tuple rows
+        # 240 off-diagonal unit rows, then 16 tuples x 3 difference rows
         assert len(unit_rows(cs)) == 240
-        assert len(cs.rows) == 240 + 192
+        assert len(cs.rows) == 240 + 48
         # the images of 1, i, -1, -i under i -> root
         assert cs.order == 4
         units = {pow(cs.root, k, cs.prime) for k in range(4)}
@@ -59,15 +62,30 @@ class TestBuildConstraints:
         assert seen <= units
 
     def test_single_pair_rows_touch_diagonal_unknowns(self):
-        # no x-index is shared between the two kets, so only the two
-        # diagonal unknowns a_{00,00} and a_{11,11} appear, and both ordered
-        # rows encode the same equation
+        # no x-index is shared between the two kets, so both ordered pair
+        # rows are multiples of one equation on the two diagonal unknowns
+        # a_{00,00} and a_{11,11}, emitted once as their difference
         cs = build_constraints(PAIR222, Partition.A)
-        assert len(cs.rows) == 2
-        diag = {0 * 4 + 0, 3 * 4 + 3}
-        for row in cs.rows:
-            assert set(row) == diag
-        assert cs.rows[0] == cs.rows[1]
+        assert cs.rows == [{0 * 4 + 0: 1, 3 * 4 + 3: cs.prime - 1}]
+        assert cs.n_states == 2
+
+    def test_weight4_ket_sharing_rows_carry_i_and_minus_i(self):
+        # the tuples share two kets, so their cross pairs keep per-pair
+        # rows, whose coefficients are single powers of i
+        shared = (Ket(0, 0, 0), Ket(1, 1, 1))
+        S = StateSet(
+            SystemDims(4, 4, 4),
+            (
+                GhzTuple(4, (*shared, Ket(2, 2, 2), Ket(3, 3, 3))),
+                GhzTuple(4, (*shared, Ket(3, 2, 3), Ket(2, 3, 2))),
+            ),
+        )
+        cs = build_constraints(S, Partition.A)
+        assert cs.order == 4
+        units = [pow(cs.root, k, cs.prime) for k in range(4)]
+        seen = {v for row in cs.rows for v in row.values()}
+        assert seen <= set(units)
+        assert {units[1], units[3]} <= seen
 
     def test_guard_refuses_large_systems(self):
         with pytest.raises(ResourceGuardError, match="28561"):
@@ -87,10 +105,11 @@ class TestBuildConstraints:
     def test_nonorthogonal_skip_counts_pairs(self):
         cs = build_constraints(even_d(4), Partition.A)
         assert cs.skipped_pairs == 16
-        # 240 unit rows; 29 tuples x 2 same-tuple rows, plus the 16 pairs of
-        # the ket-sharing tuples minus the 16 of them that are skipped
+        # 240 unit rows; one difference row for each of the 29 tuples but
+        # (3,3,3),(2,3,3), whose kets project to one kept index on cut A;
+        # the 16 cross pairs of the ket-sharing tuples are all skipped
         assert len(unit_rows(cs)) == 240
-        assert len(cs.rows) == 240 + 58
+        assert len(cs.rows) == 240 + 28
 
 
 P7 = 7
@@ -137,7 +156,7 @@ class TestNullspace:
         assert ns.contains_identity
 
     def test_pair_222_dimension_15(self):
-        # the two ordered rows coincide, so rank is 1
+        # one diagonal difference row, so rank is 1
         for p in Partition:
             ns = nullspace(build_constraints(PAIR222, p))
             assert ns.dimension == 15
@@ -200,7 +219,7 @@ class TestOracleVerdict:
         assert r.dimension == 15
         assert not r.trivial_only
         assert r.n_unknowns == 16
-        assert r.n_rows == 2
+        assert r.n_rows == 1
 
     def test_even4_skip_mode(self):
         for r in oracle_all(even_d(4)).values():
@@ -236,11 +255,11 @@ class TestDumpSystem:
         assert int(header["root"]) == cs.root
         assert int(header["order"]) == 2
         data = [l.split() for l in lines if not l.startswith("#")]
-        assert len(data) == 4  # 2 rows x 2 nonzeros
+        assert len(data) == 2  # 1 row x 2 nonzeros
         for rec in data:
             assert len(rec) == 3
             row, u, value = map(int, rec)
-            assert row in (0, 1) and u in (0, 15)
+            assert row == 0 and u in (0, 15)
             assert 0 < value < cs.prime
 
 

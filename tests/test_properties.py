@@ -87,6 +87,36 @@ def overlapping_sets(draw, max_tuples=3):
     return StateSet(dims, tuple(tuples))
 
 
+@st.composite
+def collapsed_sets(draw, max_tuples=3):
+    """Small sets whose every tuple holds two kets that differ on one axis
+    only.  On that axis's cut the two kets project to one kept index, and
+    the tuple is spread there when its other kets' cut coordinates are
+    distinct too; on the other two cuts the two kets repeat the cut
+    coordinate.  Tuples may share kets."""
+    dims = SystemDims(*(draw(st.integers(2, 4)) for _ in range(3)))
+    bounds = dims.as_tuple()
+    kets = st.builds(Ket, *(st.integers(0, d - 1) for d in bounds))
+    weights = [w for w in (2, 3, 4) if w <= min(bounds)]
+    tuples = []
+    for _ in range(draw(st.integers(1, max_tuples))):
+        w = draw(st.sampled_from(weights))
+        base = draw(kets)
+        axis = draw(st.integers(0, 2))
+        c = draw(st.integers(0, bounds[axis] - 1).filter(lambda c: c != base[axis]))
+        twin = base._replace(**{base._fields[axis]: c})
+        rest = draw(
+            st.lists(
+                kets.filter(lambda k: k not in (base, twin)),
+                min_size=w - 2,
+                max_size=w - 2,
+                unique=True,
+            )
+        )
+        tuples.append(GhzTuple(w, (base, twin, *rest)))
+    return StateSet(dims, tuple(tuples))
+
+
 @settings(**SETTINGS)
 @given(overlapping_sets())
 def test_row_trace_finds_exactly_the_non_orthogonal_pairs(S):
@@ -136,7 +166,7 @@ def per_pair_reference(S, p, cs):
 
 
 @settings(**SETTINGS)
-@given(overlapping_sets(max_tuples=4))
+@given(st.one_of(overlapping_sets(max_tuples=4), collapsed_sets()))
 def test_block_reduction_matches_per_pair_system(S):
     for p in Partition:
         cs = build_constraints(S, p)
