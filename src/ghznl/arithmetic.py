@@ -29,7 +29,6 @@ SparseEliminator reduces sparse rows of residues for the nullspace oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Collection
 
 MIN_PRIME = 1 << 61
 
@@ -164,25 +163,10 @@ class SparseEliminator:
             if col != pc:
                 self._col_index.setdefault(col, set()).add(pc)
 
-    def residuals_zero(self, vec: dict[int, int]) -> bool:
-        """True iff the vector satisfies every reduced equation mod p."""
-        return all(
-            sum(v * vec.get(col, 0) for col, v in prow.items()) % self.p == 0
-            for prow in self.pivots.values()
-        )
-
-    def nullspace_basis(
-        self, n_unknowns: int, fixed: Collection[int] = ()
-    ) -> list[dict[int, int]]:
-        """One vector per free column, in column order.  Columns in `fixed`
-        are known to be zero outside this eliminator's rows (they appear in
-        none of them) and get no vector."""
-        basis = []
-        for f in range(n_unknowns):
-            if f in self.pivots or f in fixed:
-                continue
-            vec = {f: 1}
-            for pc in self._col_index.get(f, ()):
-                vec[pc] = -self.pivots[pc][f] % self.p
-            basis.append(vec)
-        return basis
+    def solution(self, free: int) -> dict[int, int]:
+        """The solution with column `free` (not a pivot) at 1 and every
+        other free column at 0; columns left out are 0."""
+        vec = {free: 1}
+        for pc in self._col_index.get(free, ()):
+            vec[pc] = -self.pivots[pc][free] % self.p
+        return vec

@@ -80,6 +80,7 @@ def connected_components(G: PartitionGraph) -> ComponentLabeling:
             parent[v], v = root, parent[v]
         return root
 
+    count = len(parent)
     for u, v in G.edges:
         ru, rv = find(u), find(v)
         if ru != rv:
@@ -87,8 +88,8 @@ def connected_components(G: PartitionGraph) -> ComponentLabeling:
             if rv < ru:
                 ru, rv = rv, ru
             parent[rv] = ru
-    labels = {v: find(v) for v in G.vertices}
-    return ComponentLabeling(labels, len(set(labels.values())))
+            count -= 1
+    return ComponentLabeling({v: find(v) for v in G.vertices}, count)
 
 
 def is_connected(G: PartitionGraph) -> bool:

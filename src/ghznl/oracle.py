@@ -48,21 +48,23 @@ a tuple only when it shares a ket or is not spread on the cut; the own
 pairs of a tuple that is not spread keep one row per state pair.  A
 same-tuple pair is always orthogonal, so none is ever skipped.
 
-Presolve.  A one-entry row fixes its unknown to 0.  nullspace strikes those
-unknowns from the other rows and eliminates only the residual, so rank =
-|zeroed| + residual rank; the identity is a solution iff no zeroed unknown
-is diagonal and it solves the residual.  SparseEliminator alone gives the
-same rank, identity test and basis, by making each unit row a pivot
-{u: 1}; the presolve is there for speed, since those pivots (every
-off-diagonal unknown on the paper's families) would otherwise be carried
-through every later reduction, residuals_zero and nullspace_basis; on
-odd d = 7 the presolve leaves nullspace about a quarter of the time.
+Presolve.  The system keeps its unit rows as the set zeroed, its
+difference rows as equalities (d0, d) and the rest as per-pair rows.
+nullspace adds |zeroed| to the rank, merges the equalities with a
+union-find (1 per merge), drops the zeroed unknowns from the per-pair rows,
+maps each diagonal unknown to its class root (summing coefficients mod p)
+and eliminates only those rows.  That is the rank of the whole system, as no zeroed unknown is
+diagonal: E[q, q] = 0 would need a ket common to two tuples that share
+none.  The identity solves the difference rows and every per-pair row (its
+value there is the row's trace, and rows with a nonzero trace are
+skipped), so contains_identity is exactly "no zeroed unknown is diagonal".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .arithmetic import SparseEliminator, norm_bound, prime_field
@@ -83,14 +85,33 @@ class ResourceGuardError(RuntimeError):
 
 @dataclass
 class ConstraintSystem:
+    """One cut's rows: the unknowns of the unit rows, the diagonal
+    equalities E[d0, d0] = E[d, d] as (d0, d), and the per-pair rows."""
+
     partition: Partition
     kept_dims: tuple[int, int]
     n_states: int
-    rows: list[dict[int, int]]
+    pair_rows: list[dict[int, int]]
     order: int
     prime: int
     root: int
     skipped_pairs: int = 0
+    zeroed: set[int] = field(default_factory=set)
+    equalities: list[tuple[int, int]] = field(default_factory=list)
+
+    @cached_property
+    def rows(self) -> list[dict[int, int]]:
+        """Every row, built on first read for dumps and tests: the sorted
+        unit rows, the difference rows, then the per-pair rows."""
+        return [
+            *({u: 1} for u in sorted(self.zeroed)),
+            *({d0: 1, d: self.prime - 1} for d0, d in self.equalities),
+            *self.pair_rows,
+        ]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.zeroed) + len(self.equalities) + len(self.pair_rows)
 
     @property
     def side(self) -> int:
@@ -164,13 +185,13 @@ def build_constraints(
         for u, j in entries
         if u not in partners[t]
     }
-    rows: list[dict[int, int]] = [{u: 1} for u in sorted(zeroed)]
     # same-tuple blocks of the tuples spread on this cut, in closed form
     spread = [len({ket[axis] for ket in tup.kets}) == tup.weight for tup in tuples]
+    equalities: list[tuple[int, int]] = []
     for t, tup in enumerate(tuples):
         if spread[t]:
             d0, *rest = ((ket[ka] * db + ket[kb]) * (P + 1) for ket in tup.kets)
-            rows.extend({d0: 1, d: prime - 1} for d in rest if d != d0)
+            equalities.extend((d0, d) for d in rest if d != d0)
     # per-pair rows: pairs of ket-sharing tuples, and the own pairs of the
     # tuples not spread on this cut
     pairs = {
@@ -190,6 +211,7 @@ def build_constraints(
                     (ket[ka] * db + ket[kb], e * step)
                 )
             by_cut[n] = m
+    rows: list[dict[int, int]] = []
     skipped = 0
     for t, us in pairs.items():
         others = [b for u in us for b in range(first[u], first[u] + tuples[u].weight)]
@@ -214,7 +236,8 @@ def build_constraints(
                     continue
                 rows.append({u: r for u, v in row.items() if (r := v % prime)})
     return ConstraintSystem(
-        p, (da, db), S.n_states, rows, order, prime, root, skipped
+        p, (da, db), S.n_states, rows, order, prime, root, skipped,
+        zeroed, equalities,
     )
 
 
@@ -231,7 +254,8 @@ class NullspaceResult:
     contains_identity: bool
     prime: int
     side: int
-    basis: list[dict[int, int]]
+    # None if dimension == 1, else one solution that is not a multiple of I
+    witness: Optional[dict[int, int]]
 
     @property
     def trivial_only(self) -> bool:
@@ -244,35 +268,58 @@ def identity_vector(side: int) -> dict[int, int]:
 
 
 def nullspace(cs: ConstraintSystem) -> NullspaceResult:
-    """Dimension, rank and a basis of the solution space of cs mod p.
+    """Dimension, rank, identity test and witness of cs's solution space mod
+    p; only the per-pair rows are eliminated (see Presolve above)."""
+    parent: dict[int, int] = {}  # a non-root diagonal unknown -> its parent
 
-    Presolve: a one-entry row fixes its unknown to 0, so those unknowns are
-    struck from every other row and only the residual rows are eliminated.
-    The zeroed unknowns add their count to the rank and get no basis vector.
-    """
-    zeroed = {u for row in cs.rows if len(row) == 1 for u in row}
-    elim = SparseEliminator(cs.prime)
-    for row in cs.rows:
-        if len(row) == 1:
-            continue
-        if not zeroed.isdisjoint(row):
-            row = {u: v for u, v in row.items() if u not in zeroed}
-        if row:
-            elim.add_row(row)
-    rank = len(zeroed) + elim.rank
-    diagonal = identity_vector(cs.side)
+    def find(u: int) -> int:
+        while u in parent:
+            u = parent[u]
+        return u
+
+    merges = 0
+    for d0, d in cs.equalities:
+        r0, r = find(d0), find(d)
+        if r0 != r:
+            parent[max(r0, r)] = min(r0, r)
+            merges += 1
+    root = {u: find(u) for u in parent}
+    zeroed, prime = cs.zeroed, cs.prime
+    elim = SparseEliminator(prime)
+    for row in cs.pair_rows:
+        reduced: dict[int, int] = {}
+        for u, v in row.items():
+            if u not in zeroed:
+                u = root.get(u, u)
+                reduced[u] = (reduced.get(u, 0) + v) % prime
+        if reduced := {u: v for u, v in reduced.items() if v}:
+            elim.add_row(reduced)
+    rank = len(zeroed) + merges + elim.rank
+    dimension = cs.n_unknowns - rank
+    witness = None
+    if dimension > 1:
+        # one free column at 1, an off-diagonal one if any, so that the
+        # solution is not a multiple of I; each unknown reads its root
+        free = min(
+            (u for u in range(cs.n_unknowns)
+             if u not in zeroed and u not in elim.pivots and u not in root),
+            key=lambda u: (u % (cs.side + 1) == 0, u),
+        )
+        vec = elim.solution(free)
+        witness = {
+            u: v for u in range(cs.n_unknowns) if (v := vec.get(root.get(u, u)))
+        }
     return NullspaceResult(
         partition=cs.partition,
-        dimension=cs.n_unknowns - rank,
+        dimension=dimension,
         rank=rank,
         n_unknowns=cs.n_unknowns,
-        n_rows=len(cs.rows),
+        n_rows=cs.n_rows,
         skipped_pairs=cs.skipped_pairs,
-        contains_identity=zeroed.isdisjoint(diagonal)
-        and elim.residuals_zero(diagonal),
-        prime=cs.prime,
+        contains_identity=zeroed.isdisjoint(identity_vector(cs.side)),
+        prime=prime,
         side=cs.side,
-        basis=elim.nullspace_basis(cs.n_unknowns, fixed=zeroed),
+        witness=witness,
     )
 
 
@@ -301,7 +348,7 @@ def dump_system(cs: ConstraintSystem) -> str:
     da, db = cs.kept_dims
     lines = [
         f"# partition={cs.partition.value} kept_dims={da}x{db} "
-        f"unknowns={cs.n_unknowns} rows={len(cs.rows)} mode=modular "
+        f"unknowns={cs.n_unknowns} rows={cs.n_rows} mode=modular "
         f"prime={cs.prime} root={cs.root} order={cs.order}",
         f"# unknown u = (y*{db}+z)*{cs.side} + (y'*{db}+z')",
     ]

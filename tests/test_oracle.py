@@ -132,20 +132,6 @@ class TestSparseEliminator:
         assert e.rank == 1
         assert e.pivots[0] == {0: 1, 2: 2}
 
-    def test_nullspace_basis_spans_kernel(self):
-        e = SparseEliminator(P7)
-        e.add_row({0: 1, 1: 1, 2: 1})
-        basis = e.nullspace_basis(3)
-        assert len(basis) == 2
-        for vec in basis:
-            assert e.residuals_zero(vec)
-
-    def test_residuals(self):
-        e = SparseEliminator(P7)
-        e.add_row({0: 1, 1: P7 - 1})
-        assert e.residuals_zero({0: 1, 1: 1})
-        assert not e.residuals_zero({0: 1, 1: 2})
-
 
 class TestNullspace:
     def test_empty_system_full_dimension(self):
@@ -169,30 +155,47 @@ class TestNullspace:
         assert ns.contains_identity
         assert ns.prime >= 2**61
 
-    def test_basis_of_trivial_solution_is_identity_line(self):
+    def test_c333_cut_b_has_no_witness(self):
         ns = nullspace(build_constraints(c333(), Partition.B))
-        assert len(ns.basis) == 1
-        vec = ns.basis[0]
-        diag = {k * 9 + k for k in range(9)}
-        assert set(vec) <= diag
-        vals = set(vec.values())
-        assert len(vals) == 1
+        assert ns.dimension == 1
+        assert ns.witness is None
+
+    def test_pair_222_witness_solves_every_row(self):
+        for p in Partition:
+            cs = build_constraints(PAIR222, p)
+            ns = nullspace(cs)
+            vec = ns.witness
+            assert vec
+            for row in cs.rows:
+                assert sum(v * vec.get(u, 0) for u, v in row.items()) % cs.prime == 0
+            # not a multiple of I: off the diagonal, or unequal on it
+            diag = [vec.get(u, 0) for u in identity_vector(ns.side)]
+            assert set(vec) - set(identity_vector(ns.side)) or len(set(diag)) > 1
+
+    def test_ablated_even4_witness_is_a_diagonal_component(self):
+        # without its diagonal pairs S4/S5 the even family's diagonal splits
+        # into two classes; the witness is the indicator of one of them
+        S = even_d(4).without_labels(["S4", "S5"])
+        for p in Partition:
+            cs = build_constraints(S, p)
+            vec = nullspace(cs).witness
+            assert set(vec) < set(identity_vector(cs.side))
+            assert len(vec) == cs.side // 2 and set(vec.values()) == {1}
+            for row in cs.rows:
+                assert sum(v * vec.get(u, 0) for u, v in row.items()) % cs.prime == 0
 
     def test_closure_under_dagger(self):
         # weight-2 rows are real (omega_2 = -1), so the conjugate transpose
         # of a solution is its transpose
         cs = build_constraints(PAIR222, Partition.A)
-        ns = nullspace(cs)
-        assert len(ns.basis) == ns.dimension
-        for vec in ns.basis:
-            transpose = {
-                c * ns.side + r: v
-                for u, v in vec.items()
-                for r, c in [divmod(u, ns.side)]
-            }
-            for row in cs.rows:
-                residual = sum(v * transpose.get(u, 0) for u, v in row.items())
-                assert residual % cs.prime == 0
+        vec = nullspace(cs).witness
+        transpose = {
+            c * cs.side + r: v for u, v in vec.items() for r, c in [divmod(u, cs.side)]
+        }
+        assert transpose != vec
+        for row in cs.rows:
+            residual = sum(v * transpose.get(u, 0) for u, v in row.items())
+            assert residual % cs.prime == 0
 
     def test_float_handles_weight3_roots(self):
         # weight 3 uses primitive cube roots of unity, which exist mod p
@@ -236,6 +239,23 @@ class TestOracleVerdict:
             Partition.C: 144,
         }
         assert all(r.trivial_only for r in results.values())
+
+
+class TestHotPath:
+    def test_nullspace_never_builds_the_row_list(self, monkeypatch):
+        def refuse(cs):
+            raise AssertionError("ConstraintSystem.rows read on the hot path")
+
+        monkeypatch.setattr(ConstraintSystem, "rows", property(refuse))
+        for S, dimension in ((c333(), 1), (PAIR222, 15)):
+            for p in Partition:
+                assert nullspace(build_constraints(S, p)).dimension == dimension
+        # even4 skips pairs on every cut and keeps per-pair rows on B and C
+        for p in Partition:
+            cs = build_constraints(even_d(4), p)
+            assert cs.skipped_pairs == 16
+            assert len(cs.pair_rows) == (0 if p is Partition.A else 2)
+            assert nullspace(cs).dimension == 1
 
 
 class TestIdentityAndDagger:

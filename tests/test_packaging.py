@@ -1,4 +1,5 @@
-"""The library imports nothing outside the standard library and itself."""
+"""The library imports nothing outside the standard library and itself,
+and carries no assert statements."""
 
 import ast
 import sys
@@ -42,3 +43,11 @@ def test_no_fraction_arithmetic(path):
     """Every decision runs on integers: no Fraction and no complex floats."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert {"fractions", "cmath"}.isdisjoint(imported_modules(tree))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """Checks raise real exceptions: an assert vanishes under python -O."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

@@ -179,13 +179,21 @@ def test_block_reduction_matches_per_pair_system(S):
         assert ns.rank == elim.rank
         assert ns.dimension == cs.n_unknowns - elim.rank
         assert ns.skipped_pairs == skipped
-        assert ns.contains_identity == elim.residuals_zero(
-            identity_vector(cs.side)
-        )
-        assert len(ns.basis) == ns.dimension
-        for vec in ns.basis:
-            for row in rows:
-                assert sum(v * vec.get(u, 0) for u, v in row.items()) % cs.prime == 0
+        identity = identity_vector(cs.side)
+
+        def solves(vec):
+            return all(
+                sum(v * vec.get(u, 0) for u, v in row.items()) % cs.prime == 0
+                for row in rows
+            )
+
+        assert ns.contains_identity == solves(identity)
+        assert (ns.witness is None) == (ns.dimension == 1)
+        if ns.witness is not None:
+            assert solves(ns.witness)
+            # not a multiple of I: off the diagonal, or unequal on it
+            diagonal = {ns.witness.get(u, 0) for u in identity}
+            assert set(ns.witness) - set(identity) or len(diagonal) > 1
 
 
 @settings(**SETTINGS)
