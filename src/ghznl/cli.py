@@ -50,6 +50,15 @@ class CliError(Exception):
     """Invalid input or parameters; maps to exit code 3."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (invalid parameters), not argparse's 2, which
+    here means Inconclusive; subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", type=Path, help="state-set document to read")
     p.add_argument(
@@ -184,7 +193,7 @@ def cmd_oracle(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args returns a
     fresh Namespace on every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghznl",
         description="Certify strongest nonlocality of tripartite GHZ-like "
         "state sets via graph connectivity and an exact POVM nullspace oracle.",

@@ -48,16 +48,23 @@ a tuple only when it shares a ket or is not spread on the cut; the own
 pairs of a tuple that is not spread keep one row per state pair.  A
 same-tuple pair is always orthogonal, so none is ever skipped.
 
-Presolve.  The system keeps its unit rows as the set zeroed, its
-difference rows as equalities (d0, d) and the rest as per-pair rows.
-nullspace adds |zeroed| to the rank, merges the equalities with a
-union-find (1 per merge), drops the zeroed unknowns from the per-pair rows,
-maps each diagonal unknown to its class root (summing coefficients mod p)
-and eliminates only those rows.  That is the rank of the whole system, as no zeroed unknown is
-diagonal: E[q, q] = 0 would need a ket common to two tuples that share
-none.  The identity solves the difference rows and every per-pair row (its
-value there is the row's trace, and rows with a nonzero trace are
-skipped), so contains_identity is exactly "no zeroed unknown is diagonal".
+Presolve.  The system keeps its unit rows as one bit mask per row of E
+(bit j of zeroed[i] is the row E[i, j] = 0), its difference rows as
+equalities (d0, d) and the rest as per-pair rows.  build_constraints fills
+the masks from the cut index: an entry (t, i) at cut coordinate x gets bit
+j for every entry (u, j) at x with u not a partner of t.  When t shares no
+ket and is spread on the cut, that is the mask of every kept index met at
+x less bit i: t has one ket at x, and another entry at x with kept index i
+would be that same ket, i.e. a shared one.  nullspace adds the popcount of
+the masks to the rank, merges the equalities with a union-find (1 per
+merge), drops the zeroed unknowns from the per-pair rows, maps each
+diagonal unknown to its class root (summing coefficients mod p) and
+eliminates only those rows.  That is the rank of the whole system, as no
+zeroed unknown is diagonal: E[q, q] = 0 would need a ket common to two
+tuples that share none.  The identity solves the difference rows and every
+per-pair row (its value there is the row's trace, and rows with a nonzero
+trace are skipped), so contains_identity is exactly "no zeroed[i] has bit
+i".
 """
 
 from __future__ import annotations
@@ -85,8 +92,9 @@ class ResourceGuardError(RuntimeError):
 
 @dataclass
 class ConstraintSystem:
-    """One cut's rows: the unknowns of the unit rows, the diagonal
-    equalities E[d0, d0] = E[d, d] as (d0, d), and the per-pair rows."""
+    """One cut's rows: the unit rows as P bit masks (bit j of zeroed[i] is
+    E[i, j] = 0; left empty, no unit rows), the diagonal equalities
+    E[d0, d0] = E[d, d] as (d0, d), and the per-pair rows."""
 
     partition: Partition
     kept_dims: tuple[int, int]
@@ -96,22 +104,33 @@ class ConstraintSystem:
     prime: int
     root: int
     skipped_pairs: int = 0
-    zeroed: set[int] = field(default_factory=set)
+    zeroed: list[int] = field(default_factory=list)
     equalities: list[tuple[int, int]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.zeroed:
+            self.zeroed = [0] * self.side
 
     @cached_property
     def rows(self) -> list[dict[int, int]]:
-        """Every row, built on first read for dumps and tests: the sorted
-        unit rows, the difference rows, then the per-pair rows."""
+        """Every row, built on first read for dumps and tests: the unit rows
+        in ascending unknown order, the difference rows, then the per-pair
+        rows."""
+        P = self.side
         return [
-            *({u: 1} for u in sorted(self.zeroed)),
+            *({i * P + j: 1} for i, m in enumerate(self.zeroed)
+              for j in range(P) if m >> j & 1),
             *({d0: 1, d: self.prime - 1} for d0, d in self.equalities),
             *self.pair_rows,
         ]
 
     @property
     def n_rows(self) -> int:
-        return len(self.zeroed) + len(self.equalities) + len(self.pair_rows)
+        return (
+            sum(m.bit_count() for m in self.zeroed)
+            + len(self.equalities)
+            + len(self.pair_rows)
+        )
 
     @property
     def side(self) -> int:
@@ -143,8 +162,8 @@ def build_constraints(
 
     Distinct tuples T, U that share no ket contribute the unit rows
     E[proj k, proj k'] = 0, one per k in T, k' in U with cut(k) = cut(k'),
-    deduplicated and sorted; they span the rows of the block's w_T * w_U
-    state pairs (see the module docstring).  Next, each tuple spread on
+    held as one bit mask per row of E; they span the rows of the block's
+    w_T * w_U state pairs (see the module docstring).  Next, each tuple spread on
     the cut (pairwise distinct cut coordinates) contributes the w - 1
     diagonal difference rows E[q_0, q_0] - E[q_m, q_m], q_m != q_0, which
     span the rows of its own state pairs.  Last, every other ordered pair
@@ -173,25 +192,35 @@ def build_constraints(
     ka, kb = p.kept_axes
     tuples = S.tuples
     first, partners = prep.first, prep.partners
-    # the cut index: cut coordinate -> [(tuple, joint kept index)]
+    # one pass over the kets: the cut index (cut coordinate -> [(tuple,
+    # joint kept index)]), the mask of kept indices met at each cut
+    # coordinate, the spread flags and the closed-form equalities
     index: dict[int, list[tuple[int, int]]] = {}
-    for t, tup in enumerate(tuples):
-        for ket in tup.kets:
-            index.setdefault(ket[axis], []).append((t, ket[ka] * db + ket[kb]))
-    zeroed = {
-        i * P + j
-        for entries in index.values()
-        for t, i in entries
-        for u, j in entries
-        if u not in partners[t]
-    }
-    # same-tuple blocks of the tuples spread on this cut, in closed form
-    spread = [len({ket[axis] for ket in tup.kets}) == tup.weight for tup in tuples]
+    met: dict[int, int] = {}
+    spread: list[bool] = []
     equalities: list[tuple[int, int]] = []
     for t, tup in enumerate(tuples):
+        cells = [(ket[axis], ket[ka] * db + ket[kb]) for ket in tup.kets]
+        for x, i in cells:
+            index.setdefault(x, []).append((t, i))
+            met[x] = met.get(x, 0) | 1 << i
+        spread.append(len({x for x, _ in cells}) == tup.weight)
         if spread[t]:
-            d0, *rest = ((ket[ka] * db + ket[kb]) * (P + 1) for ket in tup.kets)
+            d0, *rest = (i * (P + 1) for _, i in cells)
             equalities.extend((d0, d) for d in rest if d != d0)
+    # unit rows E[i, j] = 0 for (t, i), (u, j) at one cut coordinate, u not
+    # a partner of t; for a spread tuple without partners that is met[x]
+    # less bit i (see Presolve)
+    zeroed = [0] * P
+    for x, entries in index.items():
+        for t, i in entries:
+            ts = partners[t]
+            if len(ts) == 1 and spread[t]:
+                zeroed[i] |= met[x] & ~(1 << i)
+            else:
+                for u, j in entries:
+                    if u not in ts:
+                        zeroed[i] |= 1 << j
     # per-pair rows: pairs of ket-sharing tuples, and the own pairs of the
     # tuples not spread on this cut
     pairs = {
@@ -284,17 +313,17 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
             parent[max(r0, r)] = min(r0, r)
             merges += 1
     root = {u: find(u) for u in parent}
-    zeroed, prime = cs.zeroed, cs.prime
+    zeroed, prime, P = cs.zeroed, cs.prime, cs.side
     elim = SparseEliminator(prime)
     for row in cs.pair_rows:
         reduced: dict[int, int] = {}
         for u, v in row.items():
-            if u not in zeroed:
+            if not zeroed[u // P] >> u % P & 1:
                 u = root.get(u, u)
                 reduced[u] = (reduced.get(u, 0) + v) % prime
         if reduced := {u: v for u, v in reduced.items() if v}:
             elim.add_row(reduced)
-    rank = len(zeroed) + merges + elim.rank
+    rank = sum(m.bit_count() for m in zeroed) + merges + elim.rank
     dimension = cs.n_unknowns - rank
     witness = None
     if dimension > 1:
@@ -302,8 +331,9 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
         # solution is not a multiple of I; each unknown reads its root
         free = min(
             (u for u in range(cs.n_unknowns)
-             if u not in zeroed and u not in elim.pivots and u not in root),
-            key=lambda u: (u % (cs.side + 1) == 0, u),
+             if not zeroed[u // P] >> u % P & 1
+             and u not in elim.pivots and u not in root),
+            key=lambda u: (u % (P + 1) == 0, u),
         )
         vec = elim.solution(free)
         witness = {
@@ -316,7 +346,7 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
         n_unknowns=cs.n_unknowns,
         n_rows=cs.n_rows,
         skipped_pairs=cs.skipped_pairs,
-        contains_identity=zeroed.isdisjoint(identity_vector(cs.side)),
+        contains_identity=not any(m >> i & 1 for i, m in enumerate(zeroed)),
         prime=prime,
         side=cs.side,
         witness=witness,

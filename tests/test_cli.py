@@ -334,10 +334,32 @@ def test_unwritable_output(tmp_path, capsys, argv):
 
 
 class TestParser:
+    # argparse usage errors are invalid parameters (3), not its default 2,
+    # which would read as Inconclusive
     def test_unknown_construction_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as e:
             main(["generate", "--construction", "nope"])
+        assert e.value.code == EXIT_INVALID
 
     def test_no_command(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as e:
             main([])
+        assert e.value.code == EXIT_INVALID
+
+    def test_unknown_method(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["certify", "--construction", "c333", "--method", "x"])
+        assert e.value.code == EXIT_INVALID
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_non_integer_d(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["generate", "--construction", "odd", "--d", "abc"])
+        assert e.value.code == EXIT_INVALID
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["certify", "--help"])
+        assert e.value.code == 0
+        assert "--method" in capsys.readouterr().out

@@ -69,6 +69,23 @@ class TestBuildConstraints:
         assert cs.rows == [{0 * 4 + 0: 1, 3 * 4 + 3: cs.prime - 1}]
         assert cs.n_states == 2
 
+    def test_unit_rows_exclude_only_partners_of_the_row_tuple(self):
+        # T shares (1,1,1) with U and U shares (2,2,2) with V, but V is not
+        # a partner of T.  At x = 2 on cut A, T holds kept index 0 and U and
+        # V both hold 8, so E[0, 8] and E[8, 0] are zeroed through the T-V
+        # incidence alone, although a partner of T also holds index 8 there
+        S = StateSet(
+            D3,
+            (
+                GhzTuple(2, (Ket(1, 1, 1), Ket(2, 0, 0))),
+                GhzTuple(2, (Ket(1, 1, 1), Ket(2, 2, 2))),
+                GhzTuple(2, (Ket(2, 2, 2), Ket(0, 1, 0))),
+            ),
+        )
+        cs = build_constraints(S, Partition.A)
+        assert unit_rows(cs) == [{8: 1}, {72: 1}]
+        assert cs.n_rows == len(cs.rows)
+
     def test_weight4_ket_sharing_rows_carry_i_and_minus_i(self):
         # the tuples share two kets, so their cross pairs keep per-pair
         # rows, whose coefficients are single powers of i
@@ -140,6 +157,21 @@ class TestNullspace:
         assert ns.dimension == 16
         assert ns.rank == 0
         assert ns.contains_identity
+
+    def test_unit_row_masks_set_rank_and_identity(self):
+        # bit j of zeroed[i] is the unit row E[i, j] = 0; on the 4 x 4
+        # unknowns, E[0, 1] is off the diagonal and E[1, 1] is on it
+        def system(zeroed):
+            return ConstraintSystem(Partition.A, (2, 2), 0, [], 1, P7, 1, zeroed=zeroed)
+
+        off, on = system([0b10, 0, 0, 0]), system([0, 0b10, 0, 0])
+        assert off.rows == [{1: 1}] and on.rows == [{5: 1}]
+        for cs, u in ((off, 1), (on, 5)):
+            ns = nullspace(cs)
+            assert (ns.rank, ns.dimension, ns.n_rows) == (1, 15, 1)
+            assert u not in ns.witness
+        assert nullspace(off).contains_identity
+        assert not nullspace(on).contains_identity
 
     def test_pair_222_dimension_15(self):
         # one diagonal difference row, so rank is 1

@@ -26,6 +26,7 @@ from ghznl.state_model import (
     check_plane_containing,
     expand_set,
     parse_state_set,
+    prepare,
     states_orthogonal,
     write_state_set,
 )
@@ -125,15 +126,20 @@ def test_row_trace_finds_exactly_the_non_orthogonal_pairs(S):
         assert build_constraints(S, p).skipped_pairs == 2 * len(violations)
 
 
+def cut_axes(p):
+    """The cut party and the two kept parties, in the oracle's unknown
+    order (y*db+z)*P + ..."""
+    axis = "ABC".index(p.value)
+    return (axis, *{0: (1, 2), 1: (2, 0), 2: (0, 1)}[axis])
+
+
 def per_pair_reference(S, p, cs):
     """The oracle's system before block reduction, over cs's field: one row
     per ordered pair of distinct states, E[proj k, proj k'] weighted by
     conj(phi[k]) * psi[k'] for kets k, k' that agree on the cut axis, and
     the pair dropped (skipped) when the row's trace, its overlap, is
     nonzero.  Returns (rows, skipped)."""
-    axis = "ABC".index(p.value)
-    # the two kept parties in the oracle's unknown order (y*db+z)*P + ...
-    ka, kb = {0: (1, 2), 1: (2, 0), 2: (0, 1)}[axis]
+    axis, ka, kb = cut_axes(p)
     dims = S.dims.as_tuple()
     side = dims[ka] * dims[kb]
 
@@ -168,8 +174,32 @@ def per_pair_reference(S, p, cs):
 @settings(**SETTINGS)
 @given(st.one_of(overlapping_sets(max_tuples=4), collapsed_sets()))
 def test_block_reduction_matches_per_pair_system(S):
+    partners = prepare(S).partners
     for p in Partition:
         cs = build_constraints(S, p)
+        # the unit rows are E[i, j] = 0 for each (t, i), (u, j) at one cut
+        # coordinate with u not a partner of t, in ascending unknown order
+        axis, ka, kb = cut_axes(p)
+        side, db = cs.side, S.dims.as_tuple()[kb]
+        at: dict[int, list[tuple[int, int]]] = {}
+        for t, tup in enumerate(S.tuples):
+            for k in tup.kets:
+                at.setdefault(k[axis], []).append((t, k[ka] * db + k[kb]))
+        units = [
+            {u: 1}
+            for u in sorted(
+                {
+                    i * side + j
+                    for entries in at.values()
+                    for t, i in entries
+                    for u, j in entries
+                    if u not in partners[t]
+                }
+            )
+        ]
+        assert cs.rows[: len(units)] == units
+        assert len(cs.rows) == cs.n_rows
+        assert cs.n_rows == len(units) + len(cs.equalities) + len(cs.pair_rows)
         ns = nullspace(cs)
         rows, skipped = per_pair_reference(S, p, cs)
         elim = SparseEliminator(cs.prime)
