@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .graphs import build_graph, connected_components
+from .graphs import component_count
 from .oracle import NullspaceResult, ResourceGuardError, oracle_all
 from .state_model import (
     Partition,
@@ -119,16 +119,12 @@ def check_hypotheses(
 
 
 def _analyze_partitions(S: StateSet) -> dict[Partition, PartitionAnalysis]:
-    """Component counts of each cut's graph.
-
-    The path graph has the full graph's vertices, and each tuple joins the
-    same projections in both, as a clique or as a path, so each tuple
-    merges the same components in both and the counts are equal.  One
-    graph per cut is built and its count is reported for both.
-    """
+    """Component counts of each cut, counted from the kets by
+    `graphs.component_count`; no graph is built.  The path graph has the
+    same count as the full graph, so one count is reported for both."""
     out = {}
     for p in Partition:
-        count = connected_components(build_graph(S, p)).count
+        count = component_count(S, p)
         out[p] = PartitionAnalysis(p, count, count)
     return out
 

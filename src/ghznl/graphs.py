@@ -5,6 +5,10 @@ two non-cut parties; each tuple contributes the complete graph on its
 projected kets (or, for the path variant, only consecutive edges after
 sorting by first projected coordinate).  Connectivity of all three graphs is
 the certificate the certifier relies on.
+
+Every count runs one union-find over integer indices: `component_count`
+straight from the kets (the certifier builds no graph), and
+`connected_components` over a built graph, which is kept for drawing.
 """
 
 from __future__ import annotations
@@ -69,27 +73,58 @@ def build_path_graph(S: StateSet, p: Partition) -> PartitionGraph:
     return PartitionGraph(p, _vertices(S.dims, p), frozenset(edges), "path")
 
 
-def connected_components(G: PartitionGraph) -> ComponentLabeling:
-    parent: dict[Vertex, Vertex] = {v: v for v in G.vertices}
+def _union_find(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Merge the ends of each edge over the indices 0..n-1.
 
-    def find(v: Vertex) -> Vertex:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    count = len(parent)
-    for u, v in G.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # keep the lexicographically smaller vertex as the root
-            if rv < ru:
-                ru, rv = rv, ru
-            parent[rv] = ru
+    Returns (parent, count): count is the number of classes, and a root is
+    always the smallest index of its class, so parent[i] <= i for every i.
+    """
+    parent = list(range(n))
+    count = n
+    for u, v in edges:
+        # path halving
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if v < u:
+                u, v = v, u
+            parent[v] = u
             count -= 1
-    return ComponentLabeling({v: find(v) for v in G.vertices}, count)
+    return parent, count
+
+
+def component_count(S: StateSet, p: Partition) -> int:
+    """Number of components of cut p's graph, counted from the kets.
+
+    The vertices are the kept indices a * db + b, so an index that no tuple
+    projects to is a component of its own; each tuple joins its first
+    projected ket to the rest.  The path graph has the same count: each
+    tuple links the same projections in it, as a path instead of a clique.
+    """
+    da, db = p.kept_dims(S.dims)
+    a, b = p.kept_axes
+    edges = [
+        (t.kets[0][a] * db + t.kets[0][b], k[a] * db + k[b])
+        for t in S.tuples
+        for k in t.kets[1:]
+    ]
+    return _union_find(da * db, edges)[1]
+
+
+def connected_components(G: PartitionGraph) -> ComponentLabeling:
+    order = sorted(G.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    parent, count = _union_find(
+        len(order), [(index[u], index[v]) for u, v in G.edges]
+    )
+    # parent[i] <= i, so in increasing order parent[i] is already a root
+    for i in range(len(order)):
+        parent[i] = parent[parent[i]]
+    return ComponentLabeling(
+        {v: order[parent[i]] for i, v in enumerate(order)}, count
+    )
 
 
 def is_connected(G: PartitionGraph) -> bool:

@@ -13,6 +13,7 @@ from ghznl.certifier import (
     report_to_dict,
 )
 from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
+from ghznl.graphs import build_graph, connected_components
 from ghznl.state_model import GhzTuple, Ket, Partition, StateSet, SystemDims
 
 D2 = SystemDims(2, 2, 2)
@@ -198,19 +199,33 @@ class TestReportToDict:
         assert "oracle" not in doc
 
 
+def _replace(monkeypatch, fn, replacement):
+    """Replace fn in every ghznl module that refers to it."""
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("ghznl"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def _spy(monkeypatch, fn, calls):
-    """Replace fn in every ghznl module that refers to it by a wrapper that
-    appends the name of its caller to calls."""
+    """Replace fn everywhere by a wrapper that appends the name of its
+    caller to calls."""
 
     def spy(*args, **kwargs):
         calls.append(sys._getframe(1).f_code.co_name)
         return fn(*args, **kwargs)
 
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("ghznl"):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, spy)
+    _replace(monkeypatch, fn, spy)
+
+
+def _forbid(monkeypatch, fn):
+    """Replace fn everywhere by a stub that raises."""
+
+    def stub(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} was called")
+
+    _replace(monkeypatch, fn, stub)
 
 
 class TestOnePreparationPass:
@@ -245,6 +260,26 @@ class TestOnePreparationPass:
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert prepared == ["certify"]
         assert sorted(expanded) == sorted(3 * [16, 17, 27, 28])
+
+
+class TestCertifyBuildsNoGraph:
+    @pytest.mark.parametrize(
+        "S, method", [(c333(), "both"), (odd_d(11), "graph")],
+        ids=["c333-both", "odd11-graph"],
+    )
+    def test_counts_match_the_built_graphs(self, monkeypatch, S, method):
+        counts = {
+            p: connected_components(build_graph(S, p)).count for p in Partition
+        }
+        before = report_to_dict(certify(S, method=method))
+        _forbid(monkeypatch, ghznl.graphs.build_graph)
+        _forbid(monkeypatch, ghznl.graphs.connected_components)
+        with pytest.raises(AssertionError):
+            ghznl.graphs.build_graph(S, Partition.A)
+        r = certify(S, method=method)
+        assert r.verdict is Verdict.STRONGEST_NONLOCAL
+        assert {p: a.full_components for p, a in r.partitions.items()} == counts
+        assert report_to_dict(r) == before
 
 
 class TestPrepared:

@@ -7,6 +7,7 @@ from ghznl.graphs import (
     PartitionGraph,
     build_graph,
     build_path_graph,
+    component_count,
     connected_components,
     is_connected,
     to_dot,
@@ -120,6 +121,33 @@ class TestComponents:
     def test_component_ids_are_minimal_vertices(self):
         lab = connected_components(build_graph(c333(), Partition.A))
         assert set(lab.labels.values()) == {(0, 0)}
+
+
+class TestComponentCount:
+    @pytest.mark.parametrize(
+        "S",
+        [c333(), c345(), even_d(4), c444_weight4(), odd_d(5)],
+        ids=["c333", "c345", "even4", "c444w4", "odd5"],
+    )
+    def test_matches_built_graph(self, S):
+        for p in Partition:
+            assert component_count(S, p) == connected_components(
+                build_graph(S, p)
+            ).count
+
+    def test_ablated_even4_has_two_components(self):
+        S = even_d(4).without_labels(["S4", "S5"])
+        for p in Partition:
+            assert component_count(S, p) == 2
+
+    def test_unmet_indices_are_isolated_components(self):
+        # cut A keeps 4 x 4 indices; the two tuples join two pairs of them
+        S = pair_set(
+            SystemDims(4, 4, 4),
+            ((0, 0, 0), (1, 1, 1)),
+            ((2, 2, 2), (3, 3, 3)),
+        )
+        assert component_count(S, Partition.A) == 16 - 2
 
 
 class TestIsConnected:

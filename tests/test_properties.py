@@ -3,17 +3,18 @@
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ghznl.arithmetic import SparseEliminator, norm_bound, prime_field
-from ghznl.certifier import certify
+from ghznl.certifier import certify, check_hypotheses
 from ghznl.graphs import (
     build_graph,
     build_path_graph,
+    component_count,
     connected_components,
     is_connected,
 )
-from ghznl.oracle import build_constraints, identity_vector, nullspace
+from ghznl.oracle import build_constraints, identity_vector, nullspace, oracle_all
 from ghznl.state_model import (
     GhzTuple,
     Ket,
@@ -531,3 +532,74 @@ def test_theorem1_graph_and_oracle_agree(S):
     assert report.agreement is True
     for p in Partition:
         assert report.partitions[p].full_connected == report.oracle[p].trivial_only
+
+
+# --- Theorem 2's converse on random layered partitions of a product basis --
+
+
+def coordinately_different(kets):
+    return all(len({k[c] for k in kets}) == len(kets) for c in range(3))
+
+
+@st.composite
+def layered_partitions(draw):
+    """A product basis split into coordinately different tuples of weights
+    2-4, less at most one tuple.  One axis is cut into groups of w layers;
+    the m-th layer of a group is joined to the others through the m-th of w
+    Latin rows of each other axis (x -> perm[(x + shift_m) % d] with
+    distinct shifts, so the rows differ at every position).  Random swaps
+    of kets between tuples, kept when both tuples stay coordinately
+    different, then mix it."""
+    weights = draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=2))
+    axis = draw(st.integers(0, 2))
+    dims = [draw(st.integers(max(weights), 4)) for _ in range(3)]
+    dims[axis] = sum(weights)
+    oa, ob = [a for a in range(3) if a != axis]
+    layers = draw(st.permutations(range(dims[axis])))
+
+    def latin_rows(d, w):
+        perm = draw(st.permutations(range(d)))
+        shifts = draw(st.permutations(range(d)))[:w]
+        return [[perm[(x + s) % d] for x in range(d)] for s in shifts]
+
+    tuples, pos = [], 0
+    for w in weights:
+        group, pos = layers[pos:pos + w], pos + w
+        ra, rb = latin_rows(dims[oa], w), latin_rows(dims[ob], w)
+        for x in range(dims[oa]):
+            for y in range(dims[ob]):
+                kets = []
+                for m in range(w):
+                    k = [0, 0, 0]
+                    k[axis], k[oa], k[ob] = group[m], ra[m][x], rb[m][y]
+                    kets.append(tuple(k))
+                tuples.append(kets)
+    rng = draw(st.randoms(use_true_random=False))
+    for _ in range(10 * len(tuples)):
+        i, j = rng.randrange(len(tuples)), rng.randrange(len(tuples))
+        t, u = list(tuples[i]), list(tuples[j])
+        a, b = rng.randrange(len(t)), rng.randrange(len(u))
+        t[a], u[b] = u[b], t[a]
+        if i != j and coordinately_different(t) and coordinately_different(u):
+            tuples[i], tuples[j] = t, u
+    dropped = draw(st.sets(st.integers(0, len(tuples) - 1), max_size=1))
+    return StateSet(
+        SystemDims(*dims),
+        tuple(
+            GhzTuple(len(t), tuple(Ket(*k) for k in t))
+            for n, t in enumerate(tuples)
+            if n not in dropped
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_partitions())
+def test_theorem2_converse_dimension_equals_component_count(S):
+    """Under the theorems' hypotheses, at every weight, each cut's oracle
+    dimension is its graph's component count: connectivity decides the
+    trivial-only property both ways, not only for weight 2."""
+    assume(check_hypotheses(S).theorems_apply)
+    results = oracle_all(S)
+    for p in Partition:
+        assert results[p].dimension == component_count(S, p)
