@@ -2,8 +2,9 @@
 
 Every coefficient ghznl meets is a sum of roots of unity: a state's
 amplitudes are powers of omega_w = exp(2*pi*i/w), so overlaps and
-constraint rows lie in Z[zeta_L] for L the lcm of the root orders in play.  prime_field picks a prime p = 1 (mod L) together with a primitive L-th
-root r of unity mod p; then zeta_L -> r is a ring map Z[zeta_L] -> F_p, and
+constraint rows lie in Z[zeta_L] for L the lcm of the root orders in play.
+prime_field picks a prime p = 1 (mod L) together with a primitive L-th root
+r of unity mod p; then zeta_L -> r is a ring map Z[zeta_L] -> F_p, and
 every decision runs over F_p:
 
 * Rank can only drop under a ring map, so rank mod p <= true rank and
@@ -23,12 +24,16 @@ every decision runs over F_p:
   divides the norm of every nonzero maximal minor of the system; p >= 2^61
   keeps that unlikely, but such a verdict is not re-checked here.
 
-SparseEliminator reduces sparse rows of residues for the nullspace oracle.
+union_find counts the classes of integer indices joined by edges: the
+components of a partition graph, and the oracle's diagonal equalities.
+SparseEliminator brings the oracle's remaining sparse rows of residues to
+row echelon form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 MIN_PRIME = 1 << 61
 
@@ -104,19 +109,46 @@ def prime_field(order: int, bound: int) -> tuple[int, int]:
         n += 1
 
 
-class SparseEliminator:
-    """Incremental reduced row echelon form over sparse rows of residues mod p.
+def union_find(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Merge the ends of each edge over the indices 0..n-1.
 
-    Rows map a column to a nonzero residue in [0, p).  The pivot of a new row
-    is its least column and every pivot row is scaled to a leading 1.  Pivot
-    rows never contain other pivot columns (full back-substitution), so one
-    sweep over an incoming row reduces it.
+    Returns (root, count): root[i] is the smallest index of i's class and
+    count is the number of classes.  n - count is the rank of the rows
+    x_u - x_v over any field, which is how both the graph route and the
+    oracle use it.
+    """
+    root = list(range(n))
+    count = n
+    for u, v in edges:
+        # path halving
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            if v < u:
+                u, v = v, u
+            root[v] = u
+            count -= 1
+    # root[i] <= i, so in increasing order root[root[i]] is already a root
+    for i in range(n):
+        root[i] = root[root[i]]
+    return root, count
+
+
+class SparseEliminator:
+    """Incremental row echelon form over sparse rows of residues mod p.
+
+    Rows map a column to a nonzero residue in [0, p).  A new row is reduced
+    at its least column until that column is not a pivot, then stored
+    scaled to a leading 1.  The pivot columns are the leading columns of
+    the row space, whatever the echelon form, so the rank, the free columns
+    and `solution` do not depend on the order of the rows.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.pivots: dict[int, dict[int, int]] = {}
-        self._col_index: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -125,48 +157,29 @@ class SparseEliminator:
     def add_row(self, row: dict[int, int]) -> None:
         p = self.p
         row = dict(row)
-        for c in [c for c in row if c in self.pivots]:
-            f = row.pop(c)
-            for col, v in self.pivots[c].items():
-                if col == c:
-                    continue
+        while row:
+            pc = min(row)
+            prow = self.pivots.get(pc)
+            if prow is None:
+                inv = pow(row[pc], -1, p)
+                self.pivots[pc] = {col: v * inv % p for col, v in row.items()}
+                return
+            f = row[pc]
+            for col, v in prow.items():
                 nv = (row.get(col, 0) - f * v) % p
                 if nv:
                     row[col] = nv
                 else:
                     row.pop(col, None)
-        if not row:
-            return
-        pc = min(row)
-        inv = pow(row.pop(pc), -1, p)
-        newrow = {pc: 1}
-        newrow.update({col: v * inv % p for col, v in row.items()})
-        # back-substitute into existing pivot rows containing pc
-        for q in list(self._col_index.get(pc, ())):
-            prow = self.pivots[q]
-            f = prow.pop(pc)
-            self._col_index[pc].discard(q)
-            for col, v in newrow.items():
-                if col == pc:
-                    continue
-                cur = prow.get(col)
-                nv = ((cur or 0) - f * v) % p
-                if nv:
-                    if cur is None:
-                        self._col_index.setdefault(col, set()).add(q)
-                    prow[col] = nv
-                elif cur is not None:
-                    prow.pop(col)
-                    self._col_index[col].discard(q)
-        self.pivots[pc] = newrow
-        for col in newrow:
-            if col != pc:
-                self._col_index.setdefault(col, set()).add(pc)
 
     def solution(self, free: int) -> dict[int, int]:
         """The solution with column `free` (not a pivot) at 1 and every
-        other free column at 0; columns left out are 0."""
+        other free column at 0; columns left out are 0.  A pivot row holds
+        only greater columns, so the pivots are solved in decreasing order."""
+        p = self.p
         vec = {free: 1}
-        for pc in self._col_index.get(free, ()):
-            vec[pc] = -self.pivots[pc][free] % self.p
+        for pc in sorted(self.pivots, reverse=True):
+            s = sum(v * vec.get(col, 0) for col, v in self.pivots[pc].items())
+            if s % p:
+                vec[pc] = -s % p
         return vec

@@ -38,6 +38,9 @@ class Verdict(Enum):
     HYPOTHESES_VIOLATED = "HypothesesViolated"
 
 
+_DECIDED = (Verdict.STRONGEST_NONLOCAL, Verdict.NOT_STRONGEST_NONLOCAL)
+
+
 @dataclass
 class HypothesisResults:
     special_set_offenders: list[int]
@@ -141,24 +144,17 @@ def certify_via_graphs(
         notes.extend(f"hypothesis failed: {c}" for c in hyp.failed_checks())
         return CertReport(hyp, parts, None, Verdict.HYPOTHESES_VIOLATED,
                           Verdict.HYPOTHESES_VIOLATED, notes=notes)
-    all_weight_2 = all(t.weight == 2 for t in S.tuples)
-    if all_weight_2:
-        theorem = 1
-        verdict = (
-            Verdict.STRONGEST_NONLOCAL
-            if all_connected
-            else Verdict.NOT_STRONGEST_NONLOCAL
-        )
+    theorem = 1 if all(t.weight == 2 for t in S.tuples) else 2
+    if all_connected:
+        verdict = Verdict.STRONGEST_NONLOCAL
+    elif theorem == 1:
+        verdict = Verdict.NOT_STRONGEST_NONLOCAL
     else:
-        theorem = 2
-        verdict = (
-            Verdict.STRONGEST_NONLOCAL if all_connected else Verdict.INCONCLUSIVE
+        verdict = Verdict.INCONCLUSIVE
+        notes.append(
+            "disconnected graph with high-weight tuples: the sufficient "
+            "criterion does not decide the converse"
         )
-        if verdict is Verdict.INCONCLUSIVE:
-            notes.append(
-                "disconnected graph with high-weight tuples: the sufficient "
-                "criterion does not decide the converse"
-            )
     return CertReport(hyp, parts, theorem, verdict, verdict, notes=notes)
 
 
@@ -199,21 +195,13 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
             )
     except ResourceGuardError as e:
         report.notes.append(f"oracle refused: {e}")
-        if report.graph_verdict in (
-            Verdict.STRONGEST_NONLOCAL,
-            Verdict.NOT_STRONGEST_NONLOCAL,
-        ):
-            report.verdict = report.graph_verdict
-        else:
+        if report.graph_verdict not in _DECIDED:
             report.verdict = Verdict.INCONCLUSIVE
         return report
     report.oracle = results
     report.oracle_verdict = _verdict_from_oracle(results)
     report.verdict = report.oracle_verdict
-    if report.graph_verdict in (
-        Verdict.STRONGEST_NONLOCAL,
-        Verdict.NOT_STRONGEST_NONLOCAL,
-    ):
+    if report.graph_verdict in _DECIDED:
         report.agreement = report.graph_verdict == report.oracle_verdict
     return report
 

@@ -6,9 +6,9 @@ projected kets (or, for the path variant, only consecutive edges after
 sorting by first projected coordinate).  Connectivity of all three graphs is
 the certificate the certifier relies on.
 
-Every count runs one union-find over integer indices: `component_count`
-straight from the kets (the certifier builds no graph), and
-`connected_components` over a built graph, which is kept for drawing.
+Every count runs arithmetic.union_find over integer indices:
+`component_count` straight from the kets (the certifier builds no graph),
+and `connected_components` over a built graph, which is kept for drawing.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
+from .arithmetic import union_find
 from .state_model import Partition, StateSet, SystemDims
 
 Vertex = tuple[int, int]
@@ -73,28 +74,6 @@ def build_path_graph(S: StateSet, p: Partition) -> PartitionGraph:
     return PartitionGraph(p, _vertices(S.dims, p), frozenset(edges), "path")
 
 
-def _union_find(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Merge the ends of each edge over the indices 0..n-1.
-
-    Returns (parent, count): count is the number of classes, and a root is
-    always the smallest index of its class, so parent[i] <= i for every i.
-    """
-    parent = list(range(n))
-    count = n
-    for u, v in edges:
-        # path halving
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            if v < u:
-                u, v = v, u
-            parent[v] = u
-            count -= 1
-    return parent, count
-
-
 def component_count(S: StateSet, p: Partition) -> int:
     """Number of components of cut p's graph, counted from the kets.
 
@@ -110,28 +89,19 @@ def component_count(S: StateSet, p: Partition) -> int:
         for t in S.tuples
         for k in t.kets[1:]
     ]
-    return _union_find(da * db, edges)[1]
+    return union_find(da * db, edges)[1]
 
 
 def connected_components(G: PartitionGraph) -> ComponentLabeling:
     order = sorted(G.vertices)
     index = {v: i for i, v in enumerate(order)}
-    parent, count = _union_find(
-        len(order), [(index[u], index[v]) for u, v in G.edges]
-    )
-    # parent[i] <= i, so in increasing order parent[i] is already a root
-    for i in range(len(order)):
-        parent[i] = parent[parent[i]]
-    return ComponentLabeling(
-        {v: order[parent[i]] for i, v in enumerate(order)}, count
-    )
+    root, count = union_find(len(order), [(index[u], index[v]) for u, v in G.edges])
+    return ComponentLabeling({v: order[root[i]] for i, v in enumerate(order)}, count)
 
 
 def is_connected(G: PartitionGraph) -> bool:
     """True iff at most one component (the empty graph counts as connected)."""
-    if not G.vertices:
-        return True
-    return connected_components(G).count == 1
+    return connected_components(G).count <= 1
 
 
 def to_dot(G: PartitionGraph) -> str:

@@ -56,12 +56,12 @@ j for every entry (u, j) at x with u not a partner of t.  When t shares no
 ket and is spread on the cut, that is the mask of every kept index met at
 x less bit i: t has one ket at x, and another entry at x with kept index i
 would be that same ket, i.e. a shared one.  nullspace adds the popcount of
-the masks to the rank, merges the equalities with a union-find (1 per
-merge), drops the zeroed unknowns from the per-pair rows, maps each
-diagonal unknown to its class root (summing coefficients mod p) and
-eliminates only those rows.  That is the rank of the whole system, as no
-zeroed unknown is diagonal: E[q, q] = 0 would need a ket common to two
-tuples that share none.  The identity solves the difference rows and every
+the masks to the rank and P less the number of classes of the equalities
+(arithmetic.union_find), drops the zeroed unknowns from the per-pair rows,
+maps each diagonal unknown to its class root (summing coefficients mod p)
+and brings only those rows to echelon form.  That is the rank of the whole
+system, as no zeroed unknown is diagonal: E[q, q] = 0 would need a ket
+common to two tuples that share none.  The identity solves the difference rows and every
 per-pair row (its value there is the row's trace, and rows with a nonzero
 trace are skipped), so contains_identity is exactly "no zeroed[i] has bit
 i".
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .arithmetic import SparseEliminator, norm_bound, prime_field
+from .arithmetic import SparseEliminator, norm_bound, prime_field, union_find
 from .state_model import (
     Partition,
     Prepared,
@@ -299,21 +299,12 @@ def identity_vector(side: int) -> dict[int, int]:
 def nullspace(cs: ConstraintSystem) -> NullspaceResult:
     """Dimension, rank, identity test and witness of cs's solution space mod
     p; only the per-pair rows are eliminated (see Presolve above)."""
-    parent: dict[int, int] = {}  # a non-root diagonal unknown -> its parent
-
-    def find(u: int) -> int:
-        while u in parent:
-            u = parent[u]
-        return u
-
-    merges = 0
-    for d0, d in cs.equalities:
-        r0, r = find(d0), find(d)
-        if r0 != r:
-            parent[max(r0, r)] = min(r0, r)
-            merges += 1
-    root = {u: find(u) for u in parent}
     zeroed, prime, P = cs.zeroed, cs.prime, cs.side
+    # diagonal classes: E[i, i] -> E[r, r], r the least index of i's class
+    classes, count = union_find(
+        P, ((d0 // (P + 1), d // (P + 1)) for d0, d in cs.equalities)
+    )
+    root = {i * (P + 1): r * (P + 1) for i, r in enumerate(classes) if r != i}
     elim = SparseEliminator(prime)
     for row in cs.pair_rows:
         reduced: dict[int, int] = {}
@@ -323,7 +314,7 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
                 reduced[u] = (reduced.get(u, 0) + v) % prime
         if reduced := {u: v for u, v in reduced.items() if v}:
             elim.add_row(reduced)
-    rank = sum(m.bit_count() for m in zeroed) + merges + elim.rank
+    rank = sum(m.bit_count() for m in zeroed) + P - count + elim.rank
     dimension = cs.n_unknowns - rank
     witness = None
     if dimension > 1:

@@ -88,8 +88,10 @@ class GhzTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "kets", tuple(Ket(*k) for k in self.kets))
-        if self.weight < 2:
-            raise ValueError(f"tuple weight must be >= 2, got {self.weight}")
+        if not all(_is_int(x) for k in self.kets for x in k):
+            raise ValueError(f"ket coordinates must be integers: {self.kets}")
+        if not _is_int(self.weight) or self.weight < 2:
+            raise ValueError(f"tuple weight must be an integer >= 2, got {self.weight}")
         if len(self.kets) != self.weight:
             raise ValueError(
                 f"tuple declares weight {self.weight} but has {len(self.kets)} kets"

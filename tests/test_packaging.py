@@ -1,7 +1,10 @@
 """The library imports nothing outside the standard library and itself,
-and carries no assert statements."""
+and carries no assert statements; every function the benchmark traces
+exists."""
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -51,3 +54,18 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def test_benchmark_traced_functions_exist():
+    """perfbench/spans.py wraps ghznl.<module>.<function> by name; a renamed
+    or deleted function would break the traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{name}"
+        for module, name, *_ in spans.TRACED
+        if not hasattr(importlib.import_module(f"ghznl.{module}"), name)
+    ]
+    assert spans.TRACED and missing == []

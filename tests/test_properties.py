@@ -306,6 +306,36 @@ def test_path_subgraph_and_connectivity_implication(S):
             assert is_connected(full)
 
 
+def bfs_component_count(S, p):
+    """Components of cut p's full graph by breadth-first search over every
+    kept index (a, b); an index no ket projects to is alone."""
+    da, db = p.kept_dims(S.dims)
+    a, b = p.kept_axes
+    adj = {(x, y): set() for x in range(da) for y in range(db)}
+    for t in S.tuples:
+        proj = {(k[a], k[b]) for k in t.kets}
+        for u in proj:
+            adj[u] |= proj - {u}
+    seen, count = set(), 0
+    for start in adj:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        frontier = [start]
+        while frontier:
+            frontier = [v for u in frontier for v in adj[u] if v not in seen]
+            seen.update(frontier)
+    return count
+
+
+@settings(**SETTINGS)
+@given(st.one_of(state_sets(max_tuples=4, weights=(2, 3, 4)), overlapping_sets()))
+def test_component_count_matches_breadth_first_search(S):
+    for p in Partition:
+        assert component_count(S, p) == bfs_component_count(S, p)
+
+
 @settings(**SETTINGS)
 @given(state_sets(weights=(2, 4)))
 def test_document_round_trip(S):
@@ -399,6 +429,66 @@ def reference_genuinely_entangled(s):
 )
 def test_schmidt_rank_from_exponents_matches_elimination(s):
     assert check_genuine_entanglement(s) == reference_genuinely_entangled(s)
+
+
+def dense_rank(rows, n, p):
+    """Rank mod p of sparse rows over columns 0..n-1, by Gauss-Jordan
+    elimination on the dense matrix."""
+    m = [[row.get(c, 0) for c in range(n)] for row in rows]
+    rank = 0
+    for c in range(n):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c] % p), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(len(m)):
+            if i != rank and m[i][c] % p:
+                f = m[i][c] * inv
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_systems(draw):
+    """(p, n, rows): random sparse rows mod 7 or 101 over n columns, with
+    some rows a combination of two earlier ones."""
+    p = draw(st.sampled_from([7, 101]))
+    n = draw(st.integers(1, 10))
+    residue = st.integers(1, p - 1)
+    rows = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, n - 1), residue, max_size=4),
+            max_size=8,
+        )
+    )
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        a, b = draw(residue), draw(residue)
+        combo = {c: (a * rows[i].get(c, 0) + b * rows[j].get(c, 0)) % p
+                 for c in rows[i].keys() | rows[j].keys()}
+        rows.append({c: v for c, v in combo.items() if v})
+    return p, n, rows
+
+
+@settings(**SETTINGS)
+@given(sparse_systems())
+def test_sparse_eliminator_matches_dense_reference(system):
+    """The rank is the dense rank, and solution(c) for each free column c
+    solves every row with c at 1 and the other free columns at 0."""
+    p, n, rows = system
+    elim = SparseEliminator(p)
+    for row in rows:
+        elim.add_row(row)
+    assert elim.rank == dense_rank(rows, n, p)
+    free = [c for c in range(n) if c not in elim.pivots]
+    assert len(free) == n - elim.rank
+    for c in free:
+        vec = elim.solution(c)
+        assert {f: vec.get(f, 0) for f in free} == {f: int(f == c) for f in free}
+        for row in rows:
+            assert sum(v * vec.get(u, 0) for u, v in row.items()) % p == 0
 
 
 # --- reference rank over Q(i) ---------------------------------------------

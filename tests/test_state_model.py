@@ -46,6 +46,17 @@ class TestGhzTuple:
         with pytest.raises(ValueError, match="distinct"):
             GhzTuple(2, (Ket(0, 0, 0), Ket(0, 0, 0)))
 
+    @pytest.mark.parametrize("coord", [0.5, 1.0, "0", True])
+    def test_non_integer_coordinates_rejected(self, coord):
+        # as in parse_state_set, a bool is not an integer coordinate
+        with pytest.raises(ValueError, match="integers"):
+            GhzTuple(2, ((coord, 0, 0), (1, 1, 1)))
+
+    @pytest.mark.parametrize("weight", [2.0, True, 1])
+    def test_weight_must_be_an_integer_at_least_2(self, weight):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            GhzTuple(weight, ((0, 0, 0), (1, 1, 1)))
+
     def test_coordinately_different(self):
         assert ghz_pair((0, 0, 0), (1, 1, 1)).is_coordinately_different()
         assert not ghz_pair((3, 3, 3), (2, 3, 3)).is_coordinately_different()
