@@ -6,8 +6,9 @@ one-directional sufficient condition when higher weights are present.  The
 nullspace oracle decides the defining property directly, so when both run the
 oracle's verdict wins.
 
-certify runs state_model.prepare once and hands the result to the
-hypothesis checks and the oracle.
+The per-set facts every check and the oracle read (tuple offsets,
+ket-sharing partners, coordinately-different flags) are cached properties
+of the StateSet, so one certify computes each of them once.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from .graphs import component_count
 from .oracle import NullspaceResult, ResourceGuardError, oracle_all
 from .state_model import (
     Partition,
-    Prepared,
     StateSet,
     check_mutual_orthogonality,
     check_plane_containing,
     check_special_set,
     genuine_entanglement_census,
-    prepare,
-    prepared_for,
 )
 
 
@@ -109,15 +107,12 @@ class CertReport:
     notes: list[str] = field(default_factory=list)
 
 
-def check_hypotheses(
-    S: StateSet, prep: Optional[Prepared] = None
-) -> HypothesisResults:
-    prep = prepared_for(S, prep)
+def check_hypotheses(S: StateSet) -> HypothesisResults:
     return HypothesisResults(
-        special_set_offenders=check_special_set(S, prep),
-        orthogonality_violations=check_mutual_orthogonality(S, prep),
+        special_set_offenders=check_special_set(S),
+        orthogonality_violations=check_mutual_orthogonality(S),
         plane_witness=check_plane_containing(S),
-        entanglement_failures=genuine_entanglement_census(S, prep),
+        entanglement_failures=genuine_entanglement_census(S),
     )
 
 
@@ -132,11 +127,9 @@ def _analyze_partitions(S: StateSet) -> dict[Partition, PartitionAnalysis]:
     return out
 
 
-def certify_via_graphs(
-    S: StateSet, prep: Optional[Prepared] = None
-) -> CertReport:
+def certify_via_graphs(S: StateSet) -> CertReport:
     """Apply the connectivity criterion and report the certificate."""
-    hyp = check_hypotheses(S, prep)
+    hyp = check_hypotheses(S)
     parts = _analyze_partitions(S)
     all_connected = all(a.full_connected for a in parts.values())
     notes: list[str] = []
@@ -171,13 +164,13 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     consulted when that criterion cannot decide); 'both' always runs both
     and records agreement; 'oracle' does the same as 'both', since the graph
     route's hypotheses and partitions go into every report.  The oracle
-    verdict takes precedence whenever it ran.  The set is prepared once
-    and that one Prepared value is read by every check and the oracle.
+    verdict takes precedence whenever it ran.  Every check and the oracle
+    read the set's cached facts (S.first, S.partners,
+    S.coordinately_different), so each is computed at most once per set.
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
-    prep = prepare(S)
-    report = certify_via_graphs(S, prep)
+    report = certify_via_graphs(S)
     want_oracle = method in ("oracle", "both") or report.verdict in (
         Verdict.INCONCLUSIVE,
         Verdict.HYPOTHESES_VIOLATED,
@@ -187,7 +180,7 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     try:
         # orthogonality violations are already reported in the hypotheses;
         # the oracle then constrains only the pairs that are orthogonal
-        results = oracle_all(S, force=force, prep=prep)
+        results = oracle_all(S, force=force)
         skipped = sum(r.skipped_pairs for r in results.values())
         if skipped:
             report.notes.append(

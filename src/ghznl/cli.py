@@ -2,7 +2,8 @@
 
 Exit codes: 0 StrongestNonlocal, 1 NotStrongestNonlocal, 2 Inconclusive or
 HypothesesViolated (or a resource-guard refusal), 3 invalid input/parameters
-or a file that cannot be read or written.
+or a file that cannot be read or written, 4 an internal error (any other
+exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import hashlib
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +31,6 @@ from .state_model import (
     StateSet,
     StateSetFormatError,
     parse_state_set,
-    prepare,
     write_state_set,
 )
 
@@ -37,6 +38,7 @@ EXIT_STRONGEST = 0
 EXIT_NOT_STRONGEST = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {
     Verdict.STRONGEST_NONLOCAL: EXIT_STRONGEST,
@@ -167,11 +169,10 @@ def cmd_graph(args) -> int:
 
 def cmd_oracle(args) -> int:
     S, _ = _load_set(args)
-    prep = prepare(S)
     all_trivial = True
     try:
         for p in _partitions(args.partition):
-            cs = build_constraints(S, p, force=args.force, prep=prep)
+            cs = build_constraints(S, p, force=args.force)
             if args.dump_system is not None:
                 path = Path(f"{args.dump_system}_{p.value}.txt")
                 path.write_text(dump_system(cs), encoding="utf-8")
@@ -248,6 +249,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         # OSError: an output file or directory that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as e:
+        # any other failure is a fault of ghznl, not a verdict: exit 1 would
+        # read as NotStrongestNonlocal
+        print(f"internal error: {e!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

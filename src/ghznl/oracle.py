@@ -75,13 +75,7 @@ from functools import cached_property
 from typing import Optional
 
 from .arithmetic import SparseEliminator, norm_bound, prime_field, union_find
-from .state_model import (
-    Partition,
-    Prepared,
-    StateSet,
-    expand_tuple,
-    prepared_for,
-)
+from .state_model import Partition, StateSet, expand_tuple
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
 
@@ -156,7 +150,7 @@ def _field(S: StateSet) -> tuple[int, int, int]:
 
 
 def build_constraints(
-    S: StateSet, p: Partition, force: bool = False, prep: Optional[Prepared] = None
+    S: StateSet, p: Partition, force: bool = False
 ) -> ConstraintSystem:
     """The orthogonality-preservation rows of S on cut p, block-reduced.
 
@@ -175,7 +169,7 @@ def build_constraints(
     d = 4 has such pairs: its published kets collide and break
     orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
     refused unless force is set.  The tuple offsets and ket-sharing
-    partners come from prep (state_model.prepare), prepared here if absent.
+    partners are the set's cached S.first and S.partners.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -184,14 +178,13 @@ def build_constraints(
             f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
             f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
         )
-    prep = prepared_for(S, prep)
     order, prime, root = _field(S)
     roots = [pow(root, e, prime) for e in range(order)]
     P = da * db
     axis = p.cut_axis
     ka, kb = p.kept_axes
     tuples = S.tuples
-    first, partners = prep.first, prep.partners
+    first, partners = S.first, S.partners
     # one pass over the kets: the cut index (cut coordinate -> [(tuple,
     # joint kept index)]), the mask of kept indices met at each cut
     # coordinate, the spread flags and the closed-form equalities
@@ -344,19 +337,14 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
     )
 
 
-def oracle_verdict(
-    S: StateSet, p: Partition, force: bool = False, prep: Optional[Prepared] = None
-) -> NullspaceResult:
+def oracle_verdict(S: StateSet, p: Partition, force: bool = False) -> NullspaceResult:
     """trivial-only iff the constraint nullspace is exactly span(identity)."""
-    return nullspace(build_constraints(S, p, force=force, prep=prep))
+    return nullspace(build_constraints(S, p, force=force))
 
 
-def oracle_all(
-    S: StateSet, force: bool = False, prep: Optional[Prepared] = None
-) -> dict[Partition, NullspaceResult]:
+def oracle_all(S: StateSet, force: bool = False) -> dict[Partition, NullspaceResult]:
     """Strongest-nonlocal overall iff every partition reports trivial-only."""
-    prep = prepared_for(S, prep)
-    return {p: oracle_verdict(S, p, force=force, prep=prep) for p in Partition}
+    return {p: oracle_verdict(S, p, force=force) for p in Partition}
 
 
 def dump_system(cs: ConstraintSystem) -> str:

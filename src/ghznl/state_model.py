@@ -8,11 +8,10 @@ decided exactly over the prime field of arithmetic.py, and Schmidt rank from
 the exponents alone.
 Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
-containment, and genuine entanglement.  prepare() computes once what the
-validators, the certifier and the oracle all read (tuple offsets,
-ket-sharing partners, coordinately-different flags); each of them takes
-it as an optional trailing argument, builds its own when it is absent and
-refuses one prepared from another set.
+containment, and genuine entanglement.  What the validators, the
+certifier and the oracle all read about a set (each tuple's first state
+index, its ket-sharing partners, its coordinately-different flag) is a
+cached property of the immutable StateSet, computed on first read.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .arithmetic import norm_bound, prime_field
@@ -127,6 +127,35 @@ class StateSet:
     def n_states(self) -> int:
         return sum(t.weight for t in self.tuples)
 
+    # Facts of the set itself, computed on first read; no state is expanded.
+    # cached_property stores them in the instance __dict__, outside the
+    # fields, so equality and hashing are unchanged.
+
+    @cached_property
+    def first(self) -> tuple[int, ...]:
+        """Each tuple's first index in expansion order."""
+        weights = (t.weight for t in self.tuples)
+        return tuple(itertools.accumulate(weights, initial=0))[:-1]
+
+    @cached_property
+    def partners(self) -> tuple[frozenset[int], ...]:
+        """partners[t]: t itself and every tuple that shares a ket with t."""
+        holders: dict[Ket, list[int]] = {}
+        for t, tup in enumerate(self.tuples):
+            for ket in tup.kets:
+                holders.setdefault(ket, []).append(t)
+        partners = [{t} for t in range(len(self.tuples))]
+        for ts in holders.values():
+            if len(ts) > 1:
+                for t in ts:
+                    partners[t].update(ts)
+        return tuple(map(frozenset, partners))
+
+    @cached_property
+    def coordinately_different(self) -> tuple[bool, ...]:
+        """One GhzTuple.is_coordinately_different flag per tuple."""
+        return tuple(t.is_coordinately_different() for t in self.tuples)
+
     def without_labels(self, prefixes: Sequence[str]) -> "StateSet":
         """Drop every tuple whose label starts with one of the prefixes."""
         kept = tuple(
@@ -171,55 +200,6 @@ def expand_set(S: StateSet) -> list[StateVector]:
     return out
 
 
-@dataclass(frozen=True)
-class Prepared:
-    """Per-tuple facts of one state set, read by several checks."""
-
-    # the set these facts describe
-    S: StateSet
-    # each tuple's first index in expansion order
-    first: tuple[int, ...]
-    # partners[t]: t and every tuple that shares a ket with t
-    partners: tuple[frozenset[int], ...]
-    coordinately_different: tuple[bool, ...]
-
-
-def prepare(S: StateSet) -> Prepared:
-    """One pass over the tuples of S; no state is expanded."""
-    first: list[int] = []
-    holders: dict[Ket, list[int]] = {}
-    n = 0
-    for t, tup in enumerate(S.tuples):
-        first.append(n)
-        n += tup.weight
-        for ket in tup.kets:
-            holders.setdefault(ket, []).append(t)
-    partners = [{t} for t in range(len(S.tuples))]
-    for ts in holders.values():
-        if len(ts) > 1:
-            for t in ts:
-                partners[t].update(ts)
-    return Prepared(
-        S,
-        tuple(first),
-        tuple(map(frozenset, partners)),
-        tuple(t.is_coordinately_different() for t in S.tuples),
-    )
-
-
-def prepared_for(S: StateSet, prep: Optional[Prepared]) -> Prepared:
-    """prep if it was prepared from S itself, prepare(S) if prep is None.
-
-    A Prepared value from any other set object raises ValueError, since its
-    offsets and partners would index the wrong tuples.
-    """
-    if prep is None:
-        return prepare(S)
-    if prep.S is not S:
-        raise ValueError("prep was prepared from a different state set")
-    return prep
-
-
 def _overlap_terms(s1: StateVector, s2: StateVector) -> tuple[int, list[int]]:
     """(L, exponents): the unscaled overlap <s1|s2> is the sum of omega_L^e
     over the exponents, one per shared ket (conjugation negates e)."""
@@ -244,9 +224,7 @@ def states_orthogonal(s1: StateVector, s2: StateVector) -> bool:
     return sum(pow(r, e, p) for e in terms) % p == 0
 
 
-def check_mutual_orthogonality(
-    S: StateSet, prep: Optional[Prepared] = None
-) -> list[tuple[int, int]]:
+def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     """Indices (in expansion order) of non-orthogonal state pairs; empty = pass.
 
     Only pairs of distinct tuples that share a ket are tested, and only
@@ -258,10 +236,9 @@ def check_mutual_orthogonality(
     the Fourier matrix.  A set where no two tuples share a ket expands
     nothing.
     """
-    prep = prepared_for(S, prep)
     pairs = [
         (t, u)
-        for t, partners in enumerate(prep.partners)
+        for t, partners in enumerate(S.partners)
         if len(partners) > 1
         for u in sorted(partners)
         if u > t
@@ -269,7 +246,7 @@ def check_mutual_orthogonality(
     sharing = {t for pair in pairs for t in pair}
     states = {t: expand_tuple(S.tuples[t], S.dims) for t in sharing}
     return sorted(
-        (prep.first[t] + n, prep.first[u] + m)
+        (S.first[t] + n, S.first[u] + m)
         for t, u in pairs
         for n, s1 in enumerate(states[t])
         for m, s2 in enumerate(states[u])
@@ -307,10 +284,9 @@ def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     return tuple(witness)
 
 
-def check_special_set(S: StateSet, prep: Optional[Prepared] = None) -> list[int]:
+def check_special_set(S: StateSet) -> list[int]:
     """Indices of tuples that are not coordinately different; empty = pass."""
-    prep = prepared_for(S, prep)
-    return [i for i, cd in enumerate(prep.coordinately_different) if not cd]
+    return [i for i, cd in enumerate(S.coordinately_different) if not cd]
 
 
 def check_genuine_entanglement(s: StateVector) -> bool:
@@ -345,9 +321,7 @@ def check_genuine_entanglement(s: StateVector) -> bool:
     return True
 
 
-def genuine_entanglement_census(
-    S: StateSet, prep: Optional[Prepared] = None
-) -> list[int]:
+def genuine_entanglement_census(S: StateSet) -> list[int]:
     """Indices (expansion order) of states failing genuine entanglement.
 
     A coordinately different tuple of weight w >= 2 puts, on every cut, its
@@ -356,12 +330,11 @@ def genuine_entanglement_census(
     Schmidt rank >= 2 on every cut.  Only the states of the other tuples
     are checked.
     """
-    prep = prepared_for(S, prep)
     failures: list[int] = []
     for t, tup in enumerate(S.tuples):
-        if not prep.coordinately_different[t]:
+        if not S.coordinately_different[t]:
             failures.extend(
-                prep.first[t] + n
+                S.first[t] + n
                 for n, s in enumerate(expand_tuple(tup, S.dims))
                 if not check_genuine_entanglement(s)
             )

@@ -228,15 +228,31 @@ def _forbid(monkeypatch, fn):
     _replace(monkeypatch, fn, stub)
 
 
+def _count_coordinate_checks(monkeypatch) -> list[GhzTuple]:
+    """Record every GhzTuple.is_coordinately_different call."""
+    calls = []
+    original = GhzTuple.is_coordinately_different
+
+    def spy(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(GhzTuple, "is_coordinately_different", spy)
+    return calls
+
+
 class TestOnePreparationPass:
     def test_certify_prepares_once_and_builds_no_path_graph(self, monkeypatch):
-        prepared, paths, expanded = [], [], []
-        _spy(monkeypatch, ghznl.state_model.prepare, prepared)
+        paths, expanded = [], []
+        checked = _count_coordinate_checks(monkeypatch)
         _spy(monkeypatch, ghznl.graphs.build_path_graph, paths)
         _spy(monkeypatch, ghznl.state_model.expand_tuple, expanded)
-        r = certify(odd_d(5), method="both")
-        assert r.verdict is Verdict.STRONGEST_NONLOCAL
-        assert prepared == ["certify"]
+        S = odd_d(5)
+        for _ in range(2):
+            r = certify(S, method="both")
+            assert r.verdict is Verdict.STRONGEST_NONLOCAL
+        # the flags are a cached fact of S: one check per tuple in total
+        assert len(checked) == len(S.tuples)
         assert paths == []
         # no two tuples share a ket and every tuple is coordinately
         # different, so no state is expanded at all
@@ -247,8 +263,8 @@ class TestOnePreparationPass:
         # spread on every cut and shares none, so the oracle expands only
         # those four, once per cut
         S = even_d(4)
-        prepared, expanded = [], []
-        _spy(monkeypatch, ghznl.state_model.prepare, prepared)
+        expanded = []
+        checked = _count_coordinate_checks(monkeypatch)
         original = ghznl.state_model.expand_tuple
 
         def spy(t, dims):
@@ -258,8 +274,19 @@ class TestOnePreparationPass:
         monkeypatch.setattr(ghznl.oracle, "expand_tuple", spy)
         r = certify(S, method="both")
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
-        assert prepared == ["certify"]
         assert sorted(expanded) == sorted(3 * [16, 17, 27, 28])
+        assert certify(S, method="both").verdict is Verdict.STRONGEST_NONLOCAL
+        assert len(checked) == len(S.tuples)
+
+    @pytest.mark.parametrize(
+        "S", [PAIR222, c333(), even_d(4), even_d(4).without_labels(["S4", "S5"])],
+        ids=["pair222", "c333", "even4", "even4-ablated"],
+    )
+    def test_cached_facts_leave_the_set_and_its_report_unchanged(self, S):
+        report = report_to_dict(certify(S))
+        fresh = StateSet(S.dims, S.tuples)
+        assert S == fresh and hash(S) == hash(fresh)
+        assert report_to_dict(certify(fresh)) == report
 
 
 class TestCertifyBuildsNoGraph:
@@ -280,41 +307,3 @@ class TestCertifyBuildsNoGraph:
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert {p: a.full_components for p, a in r.partitions.items()} == counts
         assert report_to_dict(r) == before
-
-
-class TestPrepared:
-    def _consumers(self, S, prep):
-        return {
-            "check_special_set": lambda: ghznl.state_model.check_special_set(S, prep),
-            "check_mutual_orthogonality": lambda: (
-                ghznl.state_model.check_mutual_orthogonality(S, prep)
-            ),
-            "genuine_entanglement_census": lambda: (
-                ghznl.state_model.genuine_entanglement_census(S, prep)
-            ),
-            "check_hypotheses": lambda: check_hypotheses(S, prep),
-            "certify_via_graphs": lambda: report_to_dict(certify_via_graphs(S, prep)),
-            "build_constraints": lambda: ghznl.oracle.build_constraints(
-                S, Partition.A, prep=prep
-            ),
-            "oracle_verdict": lambda: ghznl.oracle.oracle_verdict(
-                S, Partition.B, prep=prep
-            ),
-            "oracle_all": lambda: ghznl.oracle.oracle_all(S, prep=prep),
-        }
-
-    def test_prep_of_another_set_is_refused(self):
-        S = even_d(4)
-        # an equal set that is a different object is refused as well
-        for other in (c333(), even_d(4)):
-            prep = ghznl.state_model.prepare(other)
-            for call in self._consumers(S, prep).values():
-                with pytest.raises(ValueError, match="different state set"):
-                    call()
-
-    def test_prep_of_the_same_set_gives_the_standalone_results(self):
-        S = even_d(4)
-        shared = self._consumers(S, ghznl.state_model.prepare(S))
-        alone = self._consumers(S, None)
-        for name in shared:
-            assert shared[name]() == alone[name](), name

@@ -5,6 +5,7 @@ import pytest
 from ghznl import cli
 from ghznl.cli import (
     EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_NOT_STRONGEST,
     EXIT_STRONGEST,
@@ -133,7 +134,7 @@ class TestCertify:
         code, _, _ = run(capsys, "certify")
         assert code == EXIT_INVALID
 
-    def test_float_arithmetic(self, capsys):
+    def test_modular_arithmetic(self, capsys):
         code, out, _ = run(capsys, "certify", "--construction", "c333")
         assert code == EXIT_STRONGEST
         for cut in json.loads(out)["oracle"].values():
@@ -331,6 +332,29 @@ def test_unwritable_output(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+class TestInternalError:
+    # any other exception is a fault, not a verdict: exit 1 would read as
+    # NotStrongestNonlocal
+    def test_unexpected_exception_exits_4(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError("simulated")
+
+        monkeypatch.setattr(cli, "certify", fail)
+        code, out, err = run(capsys, "certify", "--construction", "c333")
+        assert code == EXIT_INTERNAL == 4
+        assert out == ""
+        assert err.startswith("internal error")
+        assert "Traceback" in err and "MemoryError" in err
+
+    def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "certify", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["certify", "--construction", "c333"])
 
 
 class TestParser:

@@ -141,7 +141,7 @@ class TestSparseEliminator:
         assert e.rank == 2
         assert set(e.pivots) == {0, 1}
 
-    def test_float_dependent_rows(self):
+    def test_scaled_row_is_dependent(self):
         e = SparseEliminator(P7)
         e.add_row({0: 1, 2: 2})
         e.add_row({0: 3, 2: 6})
@@ -228,7 +228,7 @@ class TestNullspace:
             residual = sum(v * transpose.get(u, 0) for u, v in row.items())
             assert residual % cs.prime == 0
 
-    def test_float_handles_weight3_roots(self):
+    def test_field_has_cube_roots_for_weight3(self):
         # weight 3 uses primitive cube roots of unity, which exist mod p
         S = StateSet(
             D3, (GhzTuple(3, (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2))),)

@@ -27,7 +27,6 @@ from ghznl.state_model import (
     check_plane_containing,
     expand_set,
     parse_state_set,
-    prepare,
     states_orthogonal,
     write_state_set,
 )
@@ -119,6 +118,27 @@ def collapsed_sets(draw, max_tuples=3):
     return StateSet(dims, tuple(tuples))
 
 
+def reference_partners(S):
+    """partners[t] by brute force: every tuple whose kets meet t's, t
+    itself included."""
+    return [
+        {u for u, other in enumerate(S.tuples) if set(tup.kets) & set(other.kets)}
+        for tup in S.tuples
+    ]
+
+
+@settings(**SETTINGS)
+@given(st.one_of(state_sets(), overlapping_sets(max_tuples=4), collapsed_sets()))
+def test_cached_set_facts_match_brute_force(S):
+    weights = [t.weight for t in S.tuples]
+    assert list(S.first) == [sum(weights[:t]) for t in range(len(weights))]
+    assert list(S.partners) == reference_partners(S)
+    assert list(S.coordinately_different) == [
+        all(len({k[axis] for k in t.kets}) == t.weight for axis in range(3))
+        for t in S.tuples
+    ]
+
+
 @settings(**SETTINGS)
 @given(overlapping_sets())
 def test_row_trace_finds_exactly_the_non_orthogonal_pairs(S):
@@ -175,7 +195,7 @@ def per_pair_reference(S, p, cs):
 @settings(**SETTINGS)
 @given(st.one_of(overlapping_sets(max_tuples=4), collapsed_sets()))
 def test_block_reduction_matches_per_pair_system(S):
-    partners = prepare(S).partners
+    partners = reference_partners(S)
     for p in Partition:
         cs = build_constraints(S, p)
         # the unit rows are E[i, j] = 0 for each (t, i), (u, j) at one cut

@@ -189,13 +189,13 @@ class TestGenuineEntanglement:
         )[0]
         assert not check_genuine_entanglement(s)
 
-    def test_weight3_ghz_state_float(self):
+    def test_weight3_ghz_states_are_genuinely_entangled(self):
         t = GhzTuple(3, (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2)))
         states = expand_tuple(t, D3)
         assert all(s.order == 3 for s in states)
         assert all(check_genuine_entanglement(s) for s in states)
 
-    def test_complex_state_factorizes_across_cut_c_float(self):
+    def test_complex_state_factorizes_across_cut_c(self):
         # (|00> + w|11>)_AB x (|0> + i|1>)_C / 2 with w = exp(2 pi i / 3):
         # Schmidt rank 2 on cuts A and B, 1 on cut C.  As powers of
         # exp(2 pi i / 12): w = 4 and i = 3
