@@ -39,14 +39,6 @@ class PartitionGraph:
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
 
 
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Vertex -> component id; ids are each component's minimal vertex."""
-
-    labels: dict[Vertex, Vertex]
-    count: int
-
-
 def _vertices(dims: SystemDims, p: Partition) -> frozenset[Vertex]:
     da, db = p.kept_dims(dims)
     return frozenset((a, b) for a in range(da) for b in range(db))
@@ -92,16 +84,15 @@ def component_count(S: StateSet, p: Partition) -> int:
     return union_find(da * db, edges)[1]
 
 
-def connected_components(G: PartitionGraph) -> ComponentLabeling:
-    order = sorted(G.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    root, count = union_find(len(order), [(index[u], index[v]) for u, v in G.edges])
-    return ComponentLabeling({v: order[root[i]] for i, v in enumerate(order)}, count)
+def connected_components(G: PartitionGraph) -> int:
+    """Number of components of a built graph."""
+    index = {v: i for i, v in enumerate(G.vertices)}
+    return union_find(len(index), [(index[u], index[v]) for u, v in G.edges])[1]
 
 
 def is_connected(G: PartitionGraph) -> bool:
     """True iff at most one component (the empty graph counts as connected)."""
-    return connected_components(G).count <= 1
+    return connected_components(G) <= 1
 
 
 def to_dot(G: PartitionGraph) -> str:

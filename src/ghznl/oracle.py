@@ -43,10 +43,15 @@ of F_w, mapped by e_m -> E[q_m, q_m].  Each such row sums to 0, and F_w is
 invertible mod p (p > w), so over F_p its w - 1 distinct rows span the
 whole sum-zero hyperplane, whose image is spanned by the w - 1 difference
 rows E[q_0, q_0] - E[q_m, q_m] (the zero row when q_m = q_0, dropped).
-build_constraints emits those rows straight from the kets and expands
-a tuple only when it shares a ket or is not spread on the cut; the own
-pairs of a tuple that is not spread keep one row per state pair.  A
-same-tuple pair is always orthogonal, so none is ever skipped.
+build_constraints emits those rows straight from the kets; the own pairs
+of a tuple that is not spread keep one row per state pair.  A same-tuple
+pair is always orthogonal, so none is ever skipped.
+
+Per-pair rows.  Every row left is also read off the kets, and no state
+is expanded.  State n of a weight-w tuple is sum_m omega_w^(m n) |k_m>,
+so the row of states (t, n), (u, n') has omega_L^(m' n' L/w_u -
+m n L/w_t) at E[q_m, q'_m'] for each ket pair (m, m') of t, u at one cut
+coordinate.
 
 Presolve.  The system keeps its unit rows as one bit mask per row of E
 (bit j of zeroed[i] is the row E[i, j] = 0), its difference rows as
@@ -75,7 +80,7 @@ from functools import cached_property
 from typing import Optional
 
 from .arithmetic import SparseEliminator, norm_bound, prime_field, union_find
-from .state_model import Partition, StateSet, expand_tuple
+from .state_model import Partition, StateSet
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
 
@@ -162,14 +167,14 @@ def build_constraints(
     diagonal difference rows E[q_0, q_0] - E[q_m, q_m], q_m != q_0, which
     span the rows of its own state pairs.  Last, every other ordered pair
     of distinct states (tuples sharing a ket, or two states of a tuple not
-    spread on the cut) gets its own row; only the tuples in such pairs are
-    expanded.  A non-orthogonal pair carries no orthogonality to
+    spread on the cut) gets its own row, built from the two tuples' cut
+    cells.  A non-orthogonal pair carries no orthogonality to
     preserve, so its row is dropped and counted in skipped_pairs; the pair
     is found from that row's trace (its overlap).  The even-d family at
     d = 4 has such pairs: its published kets collide and break
     orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
-    refused unless force is set.  The tuple offsets and ket-sharing
-    partners are the set's cached S.first and S.partners.
+    refused unless force is set.  The ket-sharing partners are the set's
+    cached S.partners.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -183,23 +188,23 @@ def build_constraints(
     P = da * db
     axis = p.cut_axis
     ka, kb = p.kept_axes
-    tuples = S.tuples
-    first, partners = S.first, S.partners
-    # one pass over the kets: the cut index (cut coordinate -> [(tuple,
-    # joint kept index)]), the mask of kept indices met at each cut
+    tuples, partners = S.tuples, S.partners
+    # each tuple's cut cells (cut coordinate, joint kept index), in ket
+    # order; one pass over them gives the cut index (cut coordinate ->
+    # [(tuple, joint kept index)]), the mask of kept indices met at each cut
     # coordinate, the spread flags and the closed-form equalities
+    cells = [[(k[axis], k[ka] * db + k[kb]) for k in tup.kets] for tup in tuples]
     index: dict[int, list[tuple[int, int]]] = {}
     met: dict[int, int] = {}
     spread: list[bool] = []
     equalities: list[tuple[int, int]] = []
     for t, tup in enumerate(tuples):
-        cells = [(ket[axis], ket[ka] * db + ket[kb]) for ket in tup.kets]
-        for x, i in cells:
+        for x, i in cells[t]:
             index.setdefault(x, []).append((t, i))
             met[x] = met.get(x, 0) | 1 << i
-        spread.append(len({x for x, _ in cells}) == tup.weight)
+        spread.append(len({x for x, _ in cells[t]}) == tup.weight)
         if spread[t]:
-            d0, *rest = (i * (P + 1) for _, i in cells)
+            d0, *rest = (i * (P + 1) for _, i in cells[t])
             equalities.extend((d0, d) for d in rest if d != d0)
     # unit rows E[i, j] = 0 for (t, i), (u, j) at one cut coordinate, u not
     # a partner of t; for a spread tuple without partners that is met[x]
@@ -215,48 +220,37 @@ def build_constraints(
                     if u not in ts:
                         zeroed[i] |= 1 << j
     # per-pair rows: pairs of ket-sharing tuples, and the own pairs of the
-    # tuples not spread on this cut
-    pairs = {
-        t: sorted(u for u in partners[t] if u != t or not spread[t])
-        for t in range(len(tuples))
-        if len(partners[t]) > 1 or not spread[t]
-    }
-    # per expanded state: cut coordinate -> [(joint kept index, exponent mod order)]
-    by_cut: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for t in pairs:
-        tup = tuples[t]
-        step = order // tup.weight
-        for n, s in enumerate(expand_tuple(tup, S.dims), first[t]):
-            m: dict[int, list[tuple[int, int]]] = {}
-            for ket, e in s.exponents.items():
-                m.setdefault(ket[axis], []).append(
-                    (ket[ka] * db + ket[kb], e * step)
-                )
-            by_cut[n] = m
+    # tuples not spread on this cut, read off the cut cells (see Per-pair
+    # rows); meets lists (E[q_m, q'_m'] unknown, m L/w_t, m' L/w_u)
+    step = [order // tup.weight for tup in tuples]
     rows: list[dict[int, int]] = []
     skipped = 0
-    for t, us in pairs.items():
-        others = [b for u in us for b in range(first[u], first[u] + tuples[u].weight)]
-        for a in range(first[t], first[t] + tuples[t].weight):
-            phi = by_cut[a]
-            for b in others:
-                if a == b:
-                    continue
-                psi = by_cut[b]
-                row: dict[int, int] = {}
-                for x, left in phi.items():
-                    right = psi.get(x)
-                    if right is None:
+    for t, tup in enumerate(tuples):
+        if len(partners[t]) == 1 and spread[t]:
+            continue  # no per-pair rows: its rows are unit rows and equalities
+        blocks = [
+            (u, [
+                (i * P + j, m * step[t], mu * step[u])
+                for m, (x, i) in enumerate(cells[t])
+                for mu, (y, j) in enumerate(cells[u])
+                if x == y
+            ])
+            for u in sorted(partners[t])
+            if u != t or not spread[t]
+        ]
+        for n in range(tup.weight):
+            for u, meets in blocks:
+                for nu in range(tuples[u].weight):
+                    if u == t and nu == n:
                         continue
-                    for ia, ea in left:
-                        for ib, eb in right:
-                            u = ia * P + ib
-                            row[u] = row.get(u, 0) + roots[(eb - ea) % order]
-                # the trace, on the diagonal unknowns k*(P+1), is the overlap
-                if sum(v for u, v in row.items() if u % (P + 1) == 0) % prime:
-                    skipped += 1
-                    continue
-                rows.append({u: r for u, v in row.items() if (r := v % prime)})
+                    row: dict[int, int] = {}
+                    for k, a, b in meets:
+                        row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
+                    # the trace, on the diagonal unknowns k*(P+1), is the overlap
+                    if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
+                        skipped += 1
+                        continue
+                    rows.append({k: r for k, v in row.items() if (r := v % prime)})
     return ConstraintSystem(
         p, (da, db), S.n_states, rows, order, prime, root, skipped,
         zeroed, equalities,
@@ -312,17 +306,21 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
     witness = None
     if dimension > 1:
         # one free column at 1, an off-diagonal one if any, so that the
-        # solution is not a multiple of I; each unknown reads its root
+        # solution is not a multiple of I
         free = min(
             (u for u in range(cs.n_unknowns)
              if not zeroed[u // P] >> u % P & 1
              and u not in elim.pivots and u not in root),
             key=lambda u: (u % (P + 1) == 0, u),
         )
+        # vec holds off-diagonal unknowns and class roots only; each
+        # diagonal unknown takes its root's value
         vec = elim.solution(free)
-        witness = {
-            u: v for u in range(cs.n_unknowns) if (v := vec.get(root.get(u, u)))
-        }
+        witness = {u: v for u, v in vec.items() if u % (P + 1)}
+        witness.update(
+            (i * (P + 1), v) for i, r in enumerate(classes)
+            if (v := vec.get(r * (P + 1)))
+        )
     return NullspaceResult(
         partition=cs.partition,
         dimension=dimension,

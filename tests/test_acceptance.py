@@ -106,7 +106,7 @@ def test_criterion_4_equivalence_and_ablation():
         # exactly 2 components and opens a >=2-dimensional solution space
         ablated = even_d(4).without_labels(["S4", "S5"])
         for p in Partition:
-            assert connected_components(build_graph(ablated, p)).count == 2
+            assert connected_components(build_graph(ablated, p)) == 2
         results = oracle_all(ablated)
         assert any(r.dimension >= 2 for r in results.values())
         assert all(r.dimension == 2 for r in results.values())

@@ -14,6 +14,7 @@ from ghznl.certifier import (
 )
 from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.graphs import build_graph, connected_components
+from ghznl.oracle import build_constraints, oracle_all
 from ghznl.state_model import GhzTuple, Ket, Partition, StateSet, SystemDims
 
 D2 = SystemDims(2, 2, 2)
@@ -258,25 +259,20 @@ class TestOnePreparationPass:
         # different, so no state is expanded at all
         assert expanded == []
 
-    def test_oracle_expands_only_ket_sharing_tuples(self, monkeypatch):
-        # even4's tuples 16, 27 and 17, 28 share a ket; every other tuple is
-        # spread on every cut and shares none, so the oracle expands only
-        # those four, once per cut
+    def test_oracle_expands_no_state(self, monkeypatch):
+        # every oracle row is built from the tuples' kets: even4's
+        # ket-sharing tuples 16, 27 and 17, 28 still get their 16 skipped
+        # pairs per cut and 2 per-pair rows on cuts B and C
         S = even_d(4)
-        expanded = []
-        checked = _count_coordinate_checks(monkeypatch)
-        original = ghznl.state_model.expand_tuple
-
-        def spy(t, dims):
-            expanded.append(S.tuples.index(t))
-            return original(t, dims)
-
-        monkeypatch.setattr(ghznl.oracle, "expand_tuple", spy)
-        r = certify(S, method="both")
-        assert r.verdict is Verdict.STRONGEST_NONLOCAL
-        assert sorted(expanded) == sorted(3 * [16, 17, 27, 28])
-        assert certify(S, method="both").verdict is Verdict.STRONGEST_NONLOCAL
-        assert len(checked) == len(S.tuples)
+        _forbid(monkeypatch, ghznl.state_model.expand_tuple)
+        results = oracle_all(S)
+        assert {p: r.skipped_pairs for p, r in results.items()} == dict.fromkeys(
+            Partition, 16
+        )
+        assert all(r.trivial_only for r in results.values())
+        assert {p: len(build_constraints(S, p).pair_rows) for p in Partition} == {
+            Partition.A: 0, Partition.B: 2, Partition.C: 2,
+        }
 
     @pytest.mark.parametrize(
         "S", [PAIR222, c333(), even_d(4), even_d(4).without_labels(["S4", "S5"])],
@@ -296,7 +292,7 @@ class TestCertifyBuildsNoGraph:
     )
     def test_counts_match_the_built_graphs(self, monkeypatch, S, method):
         counts = {
-            p: connected_components(build_graph(S, p)).count for p in Partition
+            p: connected_components(build_graph(S, p)) for p in Partition
         }
         before = report_to_dict(certify(S, method=method))
         _forbid(monkeypatch, ghznl.graphs.build_graph)

@@ -348,6 +348,18 @@ class TestInternalError:
         assert err.startswith("internal error")
         assert "Traceback" in err and "MemoryError" in err
 
+    def test_value_error_in_certify_is_internal(self, monkeypatch, capsys):
+        # argparse already restricts every certify parameter, so a
+        # ValueError from certify is a fault, not invalid input (3)
+        def fail(*args, **kwargs):
+            raise ValueError("simulated")
+
+        monkeypatch.setattr(cli, "certify", fail)
+        code, out, err = run(capsys, "certify", "--construction", "c333")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal error")
+
     def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt

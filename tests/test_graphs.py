@@ -96,7 +96,7 @@ class TestPathGraph:
 
 class TestComponents:
     def test_c333_connected(self):
-        assert connected_components(build_graph(c333(), Partition.A)).count == 1
+        assert connected_components(build_graph(c333(), Partition.A)) == 1
 
     def test_edgeless_graph(self):
         G = PartitionGraph(
@@ -104,23 +104,18 @@ class TestComponents:
             frozenset((a, b) for a in range(3) for b in range(3)),
             frozenset(),
         )
-        lab = connected_components(G)
-        assert lab.count == 9
-        assert all(lab.labels[v] == v for v in G.vertices)
+        assert connected_components(G) == 9
 
     def test_ablated_even4_has_two_parity_components(self):
         S = even_d(4).without_labels(["S4", "S5"])
         for p in Partition:
-            lab = connected_components(build_graph(S, p))
-            assert lab.count == 2
-            by_comp = {}
-            for v, c in lab.labels.items():
-                by_comp.setdefault(c, set()).add((v[0] + v[1]) % 2)
-            assert all(len(parities) == 1 for parities in by_comp.values())
-
-    def test_component_ids_are_minimal_vertices(self):
-        lab = connected_components(build_graph(c333(), Partition.A))
-        assert set(lab.labels.values()) == {(0, 0)}
+            G = build_graph(S, p)
+            assert connected_components(G) == 2
+            # no edge leaves a parity class, so the two parity classes are
+            # the two components
+            assert all(
+                (u[0] + u[1]) % 2 == (v[0] + v[1]) % 2 for u, v in G.edges
+            )
 
 
 class TestComponentCount:
@@ -131,9 +126,7 @@ class TestComponentCount:
     )
     def test_matches_built_graph(self, S):
         for p in Partition:
-            assert component_count(S, p) == connected_components(
-                build_graph(S, p)
-            ).count
+            assert component_count(S, p) == connected_components(build_graph(S, p))
 
     def test_ablated_even4_has_two_components(self):
         S = even_d(4).without_labels(["S4", "S5"])
