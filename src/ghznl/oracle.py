@@ -69,11 +69,15 @@ system, as no zeroed unknown is diagonal: E[q, q] = 0 would need a ket
 common to two tuples that share none.  The identity solves the difference rows and every
 per-pair row (its value there is the row's trace, and rows with a nonzero
 trace are skipped), so contains_identity is exactly "no zeroed[i] has bit
-i".
+i".  The witness's free column is read off the masks too: with the pivots
+marked in a copy of each zeroed[i], the first row i with a clear bit other
+than i gives the least free off-diagonal unknown, else the least class
+root r with bit r clear gives a diagonal one: O(P + rank), no P^2 scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -305,14 +309,16 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
     dimension = cs.n_unknowns - rank
     witness = None
     if dimension > 1:
-        # one free column at 1, an off-diagonal one if any, so that the
-        # solution is not a multiple of I
-        free = min(
-            (u for u in range(cs.n_unknowns)
-             if not zeroed[u // P] >> u % P & 1
-             and u not in elim.pivots and u not in root),
-            key=lambda u: (u % (P + 1) == 0, u),
-        )
+        # one free column at 1, off-diagonal if any, so that the solution
+        # is not a multiple of I; taken[i] marks row i's zeroed and pivots
+        taken = list(zeroed)
+        for u in elim.pivots:
+            taken[u // P] |= 1 << u % P
+        free = next(itertools.chain(
+            (i * P + (c & -c).bit_length() - 1 for i, m in enumerate(taken)
+             if (c := ~(m | 1 << i) & (1 << P) - 1)),
+            (r * (P + 1) for r in range(P) if classes[r] == r and not taken[r] >> r & 1),
+        ))
         # vec holds off-diagonal unknowns and class roots only; each
         # diagonal unknown takes its root's value
         vec = elim.solution(free)

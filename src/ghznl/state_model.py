@@ -87,9 +87,16 @@ class GhzTuple:
     label: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kets", tuple(Ket(*k) for k in self.kets))
-        if not all(_is_int(x) for k in self.kets for x in k):
-            raise ValueError(f"ket coordinates must be integers: {self.kets}")
+        try:  # a Ket is kept as given
+            kets = tuple(k if type(k) is Ket else Ket(*k) for k in self.kets)
+        except TypeError:
+            raise ValueError(f"kets must be three values each: {self.kets}") from None
+        object.__setattr__(self, "kets", kets)
+        if not all(_is_int(x) for k in kets for x in k):
+            raise ValueError(f"ket coordinates must be integers: {kets}")
+        self._check_weight()
+
+    def _check_weight(self) -> None:
         if not _is_int(self.weight) or self.weight < 2:
             raise ValueError(f"tuple weight must be an integer >= 2, got {self.weight}")
         if len(self.kets) != self.weight:
@@ -112,16 +119,17 @@ class StateSet:
     def __post_init__(self):
         object.__setattr__(self, "tuples", tuple(self.tuples))
         for idx, t in enumerate(self.tuples):
-            if t.weight > min(self.dims.as_tuple()):
-                raise ValueError(
-                    f"tuple {idx}: weight {t.weight} exceeds min dimension"
-                )
+            self._check_weight(idx)
             for ket in t.kets:
                 if not self.dims.contains(ket):
                     raise ValueError(
                         f"tuple {idx}: ket {tuple(ket)} out of bounds for dims "
                         f"{self.dims.as_tuple()}"
                     )
+
+    def _check_weight(self, idx: int) -> None:
+        if (w := self.tuples[idx].weight) > min(self.dims.as_tuple()):
+            raise ValueError(f"tuple {idx}: weight {w} exceeds min dimension")
 
     @property
     def n_states(self) -> int:
@@ -363,7 +371,9 @@ def _is_int(x) -> bool:
 
 
 def parse_state_set(text: str) -> StateSet:
-    """Parse a state-set document, raising StateSetFormatError with positions."""
+    """Parse a state-set document, raising StateSetFormatError with positions.
+    Each ket is checked here only: the tuples and the set are built without
+    __post_init__, and only their weight checks run."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -403,9 +413,9 @@ def parse_state_set(text: str) -> StateSet:
         kets = []
         for kidx, k in enumerate(kets_raw):
             if (
-                not isinstance(k, list)
+                type(k) is not list
                 or len(k) != 3
-                or not all(_is_int(x) for x in k)
+                or not (type(k[0]) is type(k[1]) is type(k[2]) is int)
             ):
                 raise StateSetFormatError(
                     f"{where}.kets[{kidx}]: expected a list of 3 integers"
@@ -419,11 +429,18 @@ def parse_state_set(text: str) -> StateSet:
             kets.append(ket)
         if label is not None and not isinstance(label, str):
             raise StateSetFormatError(f"{where}: label must be a string")
+        tup = object.__new__(GhzTuple)  # the kets are checked above
+        tup.__dict__.update(weight=weight, kets=tuple(kets), label=label)
         try:
-            tuples.append(GhzTuple(weight, tuple(kets), label))
+            tup._check_weight()
         except ValueError as e:
             raise StateSetFormatError(f"{where}: {e}") from e
+        tuples.append(tup)
+    S = object.__new__(StateSet)
+    S.__dict__.update(dims=dims, tuples=tuple(tuples))
     try:
-        return StateSet(dims, tuple(tuples))
+        for idx in range(len(tuples)):
+            S._check_weight(idx)
     except ValueError as e:
         raise StateSetFormatError(str(e)) from e
+    return S

@@ -172,6 +172,18 @@ class TestNullspace:
         assert nullspace(off).contains_identity
         assert not nullspace(on).contains_identity
 
+    def test_witness_free_column_is_least_free_class_root(self):
+        # every off-diagonal unknown of the 4 x 4 system is zeroed, E[0, 0] =
+        # E[1, 1] joins class 0, and the pair row E[0, 0] = E[2, 2] makes
+        # root 0 a pivot: the free column is E[2, 2], not E[1, 1]
+        cs = ConstraintSystem(
+            Partition.A, (2, 2), 0, [{0: 1, 10: P7 - 1}], 1, P7, 1,
+            zeroed=[0b1111 & ~(1 << i) for i in range(4)], equalities=[(0, 5)],
+        )
+        ns = nullspace(cs)
+        assert (ns.rank, ns.dimension) == (14, 2)
+        assert ns.witness == {0: 1, 5: 1, 10: 1}
+
     def test_pair_222_dimension_15(self):
         # one diagonal difference row, so rank is 1
         for p in Partition:

@@ -1,6 +1,6 @@
 """The library imports nothing outside the standard library and itself,
-and carries no assert statements; every function the benchmark traces
-exists."""
+parses as Python 3.10 and carries no assert statements; every function the
+benchmark traces exists."""
 
 import ast
 import importlib
@@ -39,6 +39,12 @@ def test_imports_are_stdlib_or_relative(path):
         if name != "ghznl" and name not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    """pyproject.toml declares requires-python >= 3.10: no newer syntax."""
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

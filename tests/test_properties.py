@@ -2,10 +2,11 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from ghznl.arithmetic import SparseEliminator, norm_bound, prime_field
+from ghznl.arithmetic import SparseEliminator, norm_bound, prime_field, union_find
 from ghznl.certifier import certify, check_hypotheses
 from ghznl.graphs import (
     build_graph,
@@ -713,3 +714,75 @@ def test_theorem2_converse_dimension_equals_component_count(S):
     results = oracle_all(S)
     for p in Partition:
         assert results[p].dimension == component_count(S, p)
+
+
+class RecordingEliminator(SparseEliminator):
+    """Keeps the last eliminator asked for a solution, and its free column."""
+
+    last = None
+
+    def solution(self, free):
+        RecordingEliminator.last = (self, free)
+        return super().solution(free)
+
+
+def free_columns(S):
+    """(cut's system, eliminator, free column nullspace chose) for every
+    cut of S that has a witness."""
+    out = []
+    for p in Partition:
+        cs = build_constraints(S, p)
+        RecordingEliminator.last = None
+        with mock.patch("ghznl.oracle.SparseEliminator", RecordingEliminator):
+            ns = nullspace(cs)
+        assert (ns.witness is None) == (RecordingEliminator.last is None)
+        if ns.witness is not None:
+            out.append((cs, *RecordingEliminator.last))
+    return out
+
+
+def scanned_free_column(cs, elim):
+    """The witness's free column by a scan of all P^2 unknowns: the least
+    unknown that is not zeroed, not a pivot and, if diagonal, the root of
+    its class, with the off-diagonal ones first."""
+    P = cs.side
+    classes, _ = union_find(
+        P, ((d0 // (P + 1), d // (P + 1)) for d0, d in cs.equalities)
+    )
+    return min(
+        (
+            u
+            for u in range(cs.n_unknowns)
+            if not cs.zeroed[u // P] >> u % P & 1
+            and u not in elim.pivots
+            and (u % (P + 1) or classes[u // (P + 1)] == u // (P + 1))
+        ),
+        key=lambda u: (u % (P + 1) == 0, u),
+    )
+
+
+@settings(**SETTINGS)
+@given(st.one_of(overlapping_sets(max_tuples=5), collapsed_sets(max_tuples=4)))
+def test_free_column_matches_full_scan_on_ket_sharing_sets(S):
+    """Ket-sharing tuples leave per-pair rows, so pivots, some of them on
+    diagonal class roots, take columns out of the mask search."""
+    for cs, elim, free in free_columns(S):
+        assert free == scanned_free_column(cs, elim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_partitions())
+def test_free_column_matches_full_scan_when_off_diagonal_is_zeroed(S):
+    """On a layered partition every off-diagonal unknown of a cut can be
+    zeroed; the free column is then the least free class root."""
+    found = free_columns(S)
+    full = [
+        (cs, elim, free)
+        for cs, elim, free in found
+        if all(m | 1 << i == (1 << cs.side) - 1 for i, m in enumerate(cs.zeroed))
+    ]
+    assume(full)
+    for cs, elim, free in found:
+        assert free == scanned_free_column(cs, elim)
+    for cs, elim, free in full:
+        assert free % (cs.side + 1) == 0

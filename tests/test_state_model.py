@@ -57,6 +57,12 @@ class TestGhzTuple:
         with pytest.raises(ValueError, match="integer >= 2"):
             GhzTuple(weight, ((0, 0, 0), (1, 1, 1)))
 
+    @pytest.mark.parametrize("ket", [(1, 1), (1, 1, 1, 1), 5])
+    def test_ket_must_be_three_values(self, ket):
+        with pytest.raises(ValueError, match="three values") as info:
+            GhzTuple(2, ((0, 0, 0), ket))
+        assert str(ket) in str(info.value)
+
     def test_coordinately_different(self):
         assert ghz_pair((0, 0, 0), (1, 1, 1)).is_coordinately_different()
         assert not ghz_pair((3, 3, 3), (2, 3, 3)).is_coordinately_different()
@@ -251,3 +257,63 @@ class TestDocumentFormat:
     def test_booleans_are_not_integers(self, text, where):
         with pytest.raises(StateSetFormatError, match=where):
             parse_state_set(text)
+
+    PAIR = '{"weight": 2, "kets": [[0,0,0],[1,1,1]]}'
+
+    @staticmethod
+    def doc(*tuples):
+        return '{"dims": [3,3,3], "tuples": [' + ", ".join(tuples) + "]}"
+
+    @pytest.mark.parametrize(
+        "tuple_text, message",
+        [
+            ('{"weight": 2, "kets": [[0,0,0], 5]}',
+             "tuples[0].kets[1]: expected a list of 3 integers"),
+            ('{"weight": 2, "kets": [[0,0,0],[1,1]]}',
+             "tuples[0].kets[1]: expected a list of 3 integers"),
+            ('{"weight": 2, "kets": [[0,0,0],[1.0,1,1]]}',
+             "tuples[0].kets[1]: expected a list of 3 integers"),
+            ('{"weight": 2, "kets": [[0,0,0],[1,"1",1]]}',
+             "tuples[0].kets[1]: expected a list of 3 integers"),
+            ('{"weight": 2, "kets": [[0,0,0],[1,1,true]]}',
+             "tuples[0].kets[1]: expected a list of 3 integers"),
+            ('{"weight": 2, "kets": [[0,0,0],[1,-1,1]]}',
+             "tuples[0].kets[1]: ket (1, -1, 1) out of bounds for dims (3, 3, 3)"),
+            ('{"weight": 2, "kets": [[0,0,0],[1,1,3]]}',
+             "tuples[0].kets[1]: ket (1, 1, 3) out of bounds for dims (3, 3, 3)"),
+            ('{"weight": 2, "kets": [[0,0,0],[0,0,0]]}',
+             "tuples[0]: tuple kets must be distinct: "
+             "(Ket(i=0, j=0, k=0), Ket(i=0, j=0, k=0))"),
+            ('{"weight": 1, "kets": [[0,0,0]]}',
+             "tuples[0]: tuple weight must be an integer >= 2, got 1"),
+            ('{"weight": 4, "kets": [[0,0,0],[1,1,1],[2,2,2],[0,1,2]]}',
+             "tuple 0: weight 4 exceeds min dimension"),
+            ('{"weight": 2, "kets": [[0,0,0],[1,1,1]], "label": 7}',
+             "tuples[0]: label must be a string"),
+            ("[[0,0,0],[1,1,1]]", "tuples[0]: expected an object"),
+        ],
+        ids=[
+            "ket-not-a-list", "two-element-ket", "float", "string", "true",
+            "negative", "coordinate-equal-to-dimension", "repeated-ket",
+            "weight-1", "weight-above-min-dimension", "non-string-label",
+            "tuple-not-an-object",
+        ],
+    )
+    def test_single_defect_message(self, tuple_text, message):
+        with pytest.raises(StateSetFormatError) as info:
+            parse_state_set(self.doc(tuple_text, self.PAIR))
+        assert str(info.value) == message
+
+    def test_first_defect_in_document_order_is_reported(self):
+        # tuple 1 repeats a ket, tuple 2 has a two-element ket
+        text = self.doc(
+            self.PAIR,
+            '{"weight": 2, "kets": [[0,0,0],[0,0,0]]}',
+            '{"weight": 2, "kets": [[2,2,2],[1,1]]}',
+        )
+        with pytest.raises(StateSetFormatError) as info:
+            parse_state_set(text)
+        assert str(info.value) == (
+            "tuples[1]: tuple kets must be distinct: "
+            "(Ket(i=0, j=0, k=0), Ket(i=0, j=0, k=0))"
+        )
