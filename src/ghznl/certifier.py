@@ -83,15 +83,10 @@ class HypothesisResults:
 class PartitionAnalysis:
     partition: Partition
     full_components: int
-    path_components: int
 
     @property
     def full_connected(self) -> bool:
         return self.full_components <= 1
-
-    @property
-    def path_connected(self) -> bool:
-        return self.path_components <= 1
 
 
 @dataclass
@@ -119,12 +114,9 @@ def check_hypotheses(S: StateSet) -> HypothesisResults:
 def _analyze_partitions(S: StateSet) -> dict[Partition, PartitionAnalysis]:
     """Component counts of each cut, counted from the kets by
     `graphs.component_count`; no graph is built.  The path graph has the
-    same count as the full graph, so one count is reported for both."""
-    out = {}
-    for p in Partition:
-        count = component_count(S, p)
-        out[p] = PartitionAnalysis(p, count, count)
-    return out
+    same count as the full graph, so the report writes this one count for
+    both."""
+    return {p: PartitionAnalysis(p, component_count(S, p)) for p in Partition}
 
 
 def certify_via_graphs(S: StateSet) -> CertReport:
@@ -221,9 +213,9 @@ def report_to_dict(report: CertReport) -> dict:
         "partitions": {
             p.value: {
                 "full_components": a.full_components,
-                "path_components": a.path_components,
+                "path_components": a.full_components,
                 "full_connected": a.full_connected,
-                "path_connected": a.path_connected,
+                "path_connected": a.full_connected,
             }
             for p, a in report.partitions.items()
         },

@@ -12,9 +12,11 @@ are then valid nontrivial POVM elements.
 Normalization factors 1/sqrt(w) are dropped from the rows (they scale
 homogeneous equations), so every coefficient is a sum of L-th roots of unity,
 L the lcm of the tuple weights, and the rows are taken mod the prime p of
-arithmetic.prime_field with zeta_L -> r.  Rank mod p never exceeds the true
-rank, so a dimension of 1 certifies trivial-only for every weight; a larger
-dimension is the F_p nullity (see arithmetic.py).  A pair's row applied to
+the set's field S.field (arithmetic.prime_field) with zeta_L -> r; the
+orthogonality validator decides its overlaps in that same field.  Rank
+mod p never exceeds the true rank, so a dimension of 1 certifies
+trivial-only for every weight; a larger dimension is the F_p nullity (see
+arithmetic.py).  A pair's row applied to
 E = I is the pair's unscaled overlap, a sum of at most min(w_a, w_b) roots
 of unity in Z[zeta_lcm(w_a, w_b)]; p exceeds the norm bound of every such
 sum, so the row's trace tells exactly whether the pair is orthogonal and no
@@ -78,12 +80,11 @@ root r with bit r clear gives a diagonal one: O(P + rank), no P^2 scan.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .arithmetic import SparseEliminator, norm_bound, prime_field, union_find
+from .arithmetic import SparseEliminator, union_find
 from .state_model import Partition, StateSet
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
@@ -145,19 +146,6 @@ class ConstraintSystem:
         return self.side * self.side
 
 
-def _field(S: StateSet) -> tuple[int, int, int]:
-    """(L, p, r): L is the lcm of the weights of S, and p exceeds the norm
-    bound of every overlap, a sum of min(w_a, w_b) roots of unity of order
-    lcm(w_a, w_b)."""
-    weights = {t.weight for t in S.tuples}
-    bound = max(
-        (norm_bound(math.lcm(a, b), min(a, b)) for a in weights for b in weights),
-        default=2,
-    )
-    order = math.lcm(*weights)
-    return (order, *prime_field(order, bound))
-
-
 def build_constraints(
     S: StateSet, p: Partition, force: bool = False
 ) -> ConstraintSystem:
@@ -177,8 +165,8 @@ def build_constraints(
     is found from that row's trace (its overlap).  The even-d family at
     d = 4 has such pairs: its published kets collide and break
     orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
-    refused unless force is set.  The ket-sharing partners are the set's
-    cached S.partners.
+    refused unless force is set.  The ket-sharing partners and the field
+    (L, p, r) are the set's cached S.partners and S.field.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -187,7 +175,7 @@ def build_constraints(
             f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
             f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
         )
-    order, prime, root = _field(S)
+    order, prime, root = S.field
     roots = [pow(root, e, prime) for e in range(order)]
     P = da * db
     axis = p.cut_axis
@@ -281,10 +269,6 @@ class NullspaceResult:
     def trivial_only(self) -> bool:
         """The solution space is exactly span(identity)."""
         return self.dimension == 1
-
-
-def identity_vector(side: int) -> dict[int, int]:
-    return {k * side + k: 1 for k in range(side)}
 
 
 def nullspace(cs: ConstraintSystem) -> NullspaceResult:

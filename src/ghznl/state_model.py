@@ -4,14 +4,15 @@ A state set is a list of weight-w tuples of computational kets; each tuple
 expands into w mutually orthonormal states whose coefficients are the rows of
 the w-dimensional Fourier matrix, scaled by 1/sqrt(w).  Every coefficient is
 a root of unity, so a state stores only its exponents.  Orthogonality is
-decided exactly over the prime field of arithmetic.py, and Schmidt rank from
-the exponents alone.
+decided exactly from the kets, in the set's one prime field (StateSet.field,
+from arithmetic.py), and Schmidt rank from the exponents alone.
 Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.  What the validators, the
 certifier and the oracle all read about a set (each tuple's first state
-index, its ket-sharing partners, its coordinately-different flag) is a
-cached property of the immutable StateSet, computed on first read.
+index, its ket-sharing partners, its coordinately-different flag, the
+set's field) is a cached property of the immutable StateSet, computed on
+first read.
 """
 
 from __future__ import annotations
@@ -164,6 +165,19 @@ class StateSet:
         """One GhzTuple.is_coordinately_different flag per tuple."""
         return tuple(t.is_coordinately_different() for t in self.tuples)
 
+    @cached_property
+    def field(self) -> tuple[int, int, int]:
+        """(L, p, r): L is the lcm of the weights, and p exceeds the norm
+        bound of every overlap, a sum of min(w_a, w_b) roots of unity of
+        order lcm(w_a, w_b); r is a primitive L-th root of unity mod p."""
+        weights = {t.weight for t in self.tuples}
+        bound = max(
+            (norm_bound(math.lcm(a, b), min(a, b)) for a in weights for b in weights),
+            default=2,
+        )
+        order = math.lcm(*weights)
+        return (order, *prime_field(order, bound))
+
     def without_labels(self, prefixes: Sequence[str]) -> "StateSet":
         """Drop every tuple whose label starts with one of the prefixes."""
         kept = tuple(
@@ -208,41 +222,20 @@ def expand_set(S: StateSet) -> list[StateVector]:
     return out
 
 
-def _overlap_terms(s1: StateVector, s2: StateVector) -> tuple[int, list[int]]:
-    """(L, exponents): the unscaled overlap <s1|s2> is the sum of omega_L^e
-    over the exponents, one per shared ket (conjugation negates e)."""
-    if s1.dims != s2.dims:
-        raise ValueError("inner product of states with different dims")
-    order = math.lcm(s1.order, s2.order)
-    a, b = order // s1.order, order // s2.order
-    e2 = s2.exponents
-    return order, [
-        (e2[ket] * b - e * a) % order
-        for ket, e in s1.exponents.items()
-        if ket in e2
-    ]
-
-
-def states_orthogonal(s1: StateVector, s2: StateVector) -> bool:
-    """Exact: the overlap is a sum of roots of unity, zero iff zero mod p."""
-    order, terms = _overlap_terms(s1, s2)
-    if not terms:
-        return True
-    p, r = prime_field(order, norm_bound(order, len(terms)))
-    return sum(pow(r, e, p) for e in terms) % p == 0
-
-
 def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     """Indices (in expansion order) of non-orthogonal state pairs; empty = pass.
 
-    Only pairs of distinct tuples that share a ket are tested, and only
-    the tuples in such pairs are expanded, once each.  States with no ket
-    in common have overlap 0, and every state of a tuple is supported on
-    all its kets.  Two states n != n' of one tuple need no test: the kets
-    of a GhzTuple are distinct, so their overlap is
+    Only pairs of distinct tuples that share a ket are tested, from the
+    kets, in the set's field S.field; no state is expanded.  States with
+    no ket in common have overlap 0, and every state of a tuple is
+    supported on all its kets.  Two states n != n' of one tuple need no
+    test: the kets of a GhzTuple are distinct, so their overlap is
     sum_m omega^(m (n' - n)) / w = 0, the product of two distinct rows of
-    the Fourier matrix.  A set where no two tuples share a ket expands
-    nothing.
+    the Fourier matrix.  State n of a weight-w tuple is
+    sum_m omega_w^(m n) |k_m> / sqrt(w), so the unscaled overlap of (t, n)
+    and (u, n') is the sum of omega_L^(mu n' L/w_u - m n L/w_t) over the
+    shared kets k_m = k'_mu: the oracle's per-pair coefficient, and p
+    exceeds every such sum's norm bound, so the test is exact.
     """
     pairs = [
         (t, u)
@@ -251,15 +244,28 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
         for u in sorted(partners)
         if u > t
     ]
-    sharing = {t for pair in pairs for t in pair}
-    states = {t: expand_tuple(S.tuples[t], S.dims) for t in sharing}
-    return sorted(
-        (S.first[t] + n, S.first[u] + m)
-        for t, u in pairs
-        for n, s1 in enumerate(states[t])
-        for m, s2 in enumerate(states[u])
-        if not states_orthogonal(s1, s2)
-    )
+    if not pairs:
+        return []
+    order, prime, root = S.field
+    roots = [pow(root, e, prime) for e in range(order)]
+    tuples, first = S.tuples, S.first
+    violations = []
+    for t, u in pairs:
+        a, b = tuples[t], tuples[u]
+        position = {ket: mu for mu, ket in enumerate(b.kets)}
+        # (m L/w_t, mu L/w_u) for each shared ket k_m = k'_mu
+        shared = [
+            (m * (order // a.weight), position[ket] * (order // b.weight))
+            for m, ket in enumerate(a.kets)
+            if ket in position
+        ]
+        violations.extend(
+            (first[t] + n, first[u] + nu)
+            for n in range(a.weight)
+            for nu in range(b.weight)
+            if sum(roots[(mu * nu - m * n) % order] for m, mu in shared) % prime
+        )
+    return sorted(violations)
 
 
 def coordinate_set(S: StateSet) -> set[tuple[int, int, int]]:

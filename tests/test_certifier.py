@@ -15,7 +15,14 @@ from ghznl.certifier import (
 from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.graphs import build_graph, connected_components
 from ghznl.oracle import build_constraints, oracle_all
-from ghznl.state_model import GhzTuple, Ket, Partition, StateSet, SystemDims
+from ghznl.state_model import (
+    GhzTuple,
+    Ket,
+    Partition,
+    StateSet,
+    SystemDims,
+    check_mutual_orthogonality,
+)
 
 D2 = SystemDims(2, 2, 2)
 
@@ -79,7 +86,7 @@ class TestCertifyViaGraphs:
         r = certify_via_graphs(c444_weight4())
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert r.applied_theorem == 2
-        assert all(a.path_connected for a in r.partitions.values())
+        assert all(a.full_connected for a in r.partitions.values())
 
     def test_disconnected_high_weight_inconclusive(self):
         # a single weight-4 tuple alone is not plane-containing, so restrict
@@ -273,6 +280,17 @@ class TestOnePreparationPass:
         assert {p: len(build_constraints(S, p).pair_rows) for p in Partition} == {
             Partition.A: 0, Partition.B: 2, Partition.C: 2,
         }
+
+    def test_orthogonality_check_expands_no_state(self, monkeypatch):
+        # even4's ket-sharing tuples 16, 27 and 17, 28 are decided from the
+        # kets; the census, which runs outside this call, still expands the
+        # tuple S5 that is not coordinately different
+        S = even_d(4)
+        _forbid(monkeypatch, ghznl.state_model.expand_tuple)
+        assert check_mutual_orthogonality(S) == [
+            (32, 54), (32, 55), (33, 54), (33, 55),
+            (34, 56), (34, 57), (35, 56), (35, 57),
+        ]
 
     @pytest.mark.parametrize(
         "S", [PAIR222, c333(), even_d(4), even_d(4).without_labels(["S4", "S5"])],

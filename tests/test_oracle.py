@@ -8,7 +8,6 @@ from ghznl.oracle import (
     SparseEliminator,
     build_constraints,
     dump_system,
-    identity_vector,
     nullspace,
     oracle_all,
     oracle_verdict,
@@ -20,6 +19,11 @@ D3 = SystemDims(3, 3, 3)
 
 PAIR222 = StateSet(D2, (GhzTuple(2, (Ket(0, 0, 0), Ket(1, 1, 1))),))
 OFF_DIAGONAL_9 = {u for u in range(81) if u % 10}
+
+
+def identity(side):
+    """E = I over the unknowns u = i * side + j: 1 on each u = k * (side + 1)."""
+    return {k * side + k: 1 for k in range(side)}
 
 
 def unit_rows(cs):
@@ -212,8 +216,8 @@ class TestNullspace:
             for row in cs.rows:
                 assert sum(v * vec.get(u, 0) for u, v in row.items()) % cs.prime == 0
             # not a multiple of I: off the diagonal, or unequal on it
-            diag = [vec.get(u, 0) for u in identity_vector(ns.side)]
-            assert set(vec) - set(identity_vector(ns.side)) or len(set(diag)) > 1
+            diag = [vec.get(u, 0) for u in identity(ns.side)]
+            assert set(vec) - set(identity(ns.side)) or len(set(diag)) > 1
 
     def test_ablated_even4_witness_is_a_diagonal_component(self):
         # without its diagonal pairs S4/S5 the even family's diagonal splits
@@ -222,7 +226,7 @@ class TestNullspace:
         for p in Partition:
             cs = build_constraints(S, p)
             vec = nullspace(cs).witness
-            assert set(vec) < set(identity_vector(cs.side))
+            assert set(vec) < set(identity(cs.side))
             assert len(vec) == cs.side // 2 and set(vec.values()) == {1}
             for row in cs.rows:
                 assert sum(v * vec.get(u, 0) for u, v in row.items()) % cs.prime == 0
@@ -303,7 +307,14 @@ class TestHotPath:
 
 class TestIdentityAndDagger:
     def test_identity_vector(self):
-        assert identity_vector(3) == {0: 1, 4: 1, 8: 1}
+        assert identity(3) == {0: 1, 4: 1, 8: 1}
+        # E = I solves every row of every cut, as contains_identity says
+        for p in Partition:
+            cs = build_constraints(c333(), p)
+            eye = identity(cs.side)
+            assert nullspace(cs).contains_identity
+            for row in cs.rows:
+                assert sum(v * eye.get(u, 0) for u, v in row.items()) % cs.prime == 0
 
 
 class TestDumpSystem:

@@ -1,6 +1,6 @@
 """The library imports nothing outside the standard library and itself,
-parses as Python 3.10 and carries no assert statements; every function the
-benchmark traces exists."""
+parses as Python 3.10, carries no assert statements and no unused
+module-level definition; every function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -75,3 +75,24 @@ def test_benchmark_traced_functions_exist():
         if not hasattr(importlib.import_module(f"ghznl.{module}"), name)
     ]
     assert spans.TRACED and missing == []
+
+
+def test_every_module_level_definition_is_used():
+    """A module-level function or class that no other line of the library
+    names, and that ghznl/__init__.py does not export, is dead code."""
+    defined, used = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined.extend(
+            (path.name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert [f"{module}:{name}" for module, name in defined if name not in used] == []

@@ -16,9 +16,9 @@ from ghznl.state_model import (
     expand_tuple,
     genuine_entanglement_census,
     parse_state_set,
-    states_orthogonal,
     write_state_set,
 )
+from test_properties import states_orthogonal
 
 D3 = SystemDims(3, 3, 3)
 
@@ -106,12 +106,6 @@ class TestInnerProduct:
         assert states_orthogonal(plus, minus)
         assert not states_orthogonal(plus, plus)
 
-    def test_dims_mismatch(self):
-        s1 = expand_tuple(ghz_pair((0, 0, 0), (1, 1, 1)), D3)[0]
-        s2 = expand_tuple(ghz_pair((0, 0, 0), (1, 1, 1)), SystemDims(4, 4, 4))[0]
-        with pytest.raises(ValueError):
-            states_orthogonal(s1, s2)
-
 
 class TestMutualOrthogonality:
     def test_c333_passes(self):
@@ -129,6 +123,38 @@ class TestMutualOrthogonality:
         S = c345()
         R = StateSet(S.dims, tuple(reversed(S.tuples)))
         assert check_mutual_orthogonality(R) == []
+
+    @pytest.mark.parametrize(
+        "kets4",
+        [
+            ((0, 0, 0), (1, 2, 3), (2, 3, 1), (3, 1, 2)),
+            ((0, 0, 0), (1, 1, 1), (2, 3, 3), (3, 2, 2)),
+        ],
+        ids=["one-shared-ket", "two-shared-kets"],
+    )
+    def test_weights_3_and_4_match_the_per_pair_reference(self, kets4):
+        # the set's field has L = 12; the reference picks L = 12 for the
+        # 3-4 pairs and L = 3 for the pairs of the two weight-3 tuples,
+        # which share the ket (0, 0, 0)
+        D4 = SystemDims(4, 4, 4)
+        S = StateSet(
+            D4,
+            (
+                GhzTuple(3, ((0, 0, 0), (1, 1, 1), (2, 2, 2))),
+                GhzTuple(4, kets4),
+                GhzTuple(3, ((0, 0, 0), (1, 2, 3), (3, 3, 2))),
+            ),
+        )
+        assert S.field[0] == 12
+        states = [s for t in S.tuples for s in expand_tuple(t, D4)]
+        expected = [
+            (a, b)
+            for a in range(len(states))
+            for b in range(a + 1, len(states))
+            if not states_orthogonal(states[a], states[b])
+        ]
+        assert check_mutual_orthogonality(S) == expected
+        assert expected and len(expected) < 3 * 4 + 3 * 3 + 4 * 3
 
 
 class TestCoordinateSet:
