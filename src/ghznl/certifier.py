@@ -7,8 +7,8 @@ nullspace oracle decides the defining property directly, so when both run the
 oracle's verdict wins.
 
 The per-set facts every check and the oracle read (tuple offsets,
-ket-sharing partners, coordinately-different flags) are cached properties
-of the StateSet, so one certify computes each of them once.
+ket-sharing partners, coordinately-different flags, the prime field) are
+cached properties of the StateSet, so one certify computes each of them once.
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     route's hypotheses and partitions go into every report.  The oracle
     verdict takes precedence whenever it ran.  Every check and the oracle
     read the set's cached facts (S.first, S.partners,
-    S.coordinately_different), so each is computed at most once per set.
+    S.coordinately_different, S.field), so each is computed at most once
+    per set.
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")

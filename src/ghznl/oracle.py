@@ -57,12 +57,14 @@ coordinate.
 
 Presolve.  The system keeps its unit rows as one bit mask per row of E
 (bit j of zeroed[i] is the row E[i, j] = 0), its difference rows as
-equalities (d0, d) and the rest as per-pair rows.  build_constraints fills
-the masks from the cut index: an entry (t, i) at cut coordinate x gets bit
-j for every entry (u, j) at x with u not a partner of t.  When t shares no
-ket and is spread on the cut, that is the mask of every kept index met at
-x less bit i: t has one ket at x, and another entry at x with kept index i
-would be that same ket, i.e. a shared one.  nullspace adds the popcount of
+equalities (d0, d) and the rest as per-pair rows.  An entry (t, i) at cut
+coordinate x gets bit j of zeroed[i] for every entry (u, j) at x with u not
+a partner of t.  Never j = i: x and i name one ket, so (u, i) at x would
+share t's ket.  A tuple without partners that is spread on the cut has one
+entry (t, i) at x, so its mask there is met[x], every kept index met at x,
+less bit i: build_constraints ORs met[x] into zeroed[i] and clears the
+diagonal bits once, at the end.  Only the other tuples walk a cut index.
+nullspace adds the popcount of
 the masks to the rank and P less the number of classes of the equalities
 (arithmetic.union_find), drops the zeroed unknowns from the per-pair rows,
 maps each diagonal unknown to its class root (summing coefficients mod p)
@@ -121,12 +123,15 @@ class ConstraintSystem:
         in ascending unknown order, the difference rows, then the per-pair
         rows."""
         P = self.side
-        return [
-            *({i * P + j: 1} for i, m in enumerate(self.zeroed)
-              for j in range(P) if m >> j & 1),
-            *({d0: 1, d: self.prime - 1} for d0, d in self.equalities),
-            *self.pair_rows,
-        ]
+        rows: list[dict[int, int]] = []
+        for i, m in enumerate(self.zeroed):
+            u = i * P - 1  # bit j of m, low = 1 << j, is unknown u + low.bit_length()
+            while m:
+                low = m & -m
+                rows.append({u + low.bit_length(): 1})
+                m -= low
+        rows.extend({d0: 1, d: self.prime - 1} for d0, d in self.equalities)
+        return rows + self.pair_rows
 
     @property
     def n_rows(self) -> int:
@@ -165,8 +170,9 @@ def build_constraints(
     is found from that row's trace (its overlap).  The even-d family at
     d = 4 has such pairs: its published kets collide and break
     orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
-    refused unless force is set.  The ket-sharing partners and the field
-    (L, p, r) are the set's cached S.partners and S.field.
+    refused unless force is set.  Spread tuples without partners OR met[x]
+    into their masks; only the others walk a cut index (see Presolve).
+    S.partners, S.coordinately_different and S.field are cached on the set.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -180,46 +186,54 @@ def build_constraints(
     P = da * db
     axis = p.cut_axis
     ka, kb = p.kept_axes
-    tuples, partners = S.tuples, S.partners
+    tuples, partners, cd = S.tuples, S.partners, S.coordinately_different
     # each tuple's cut cells (cut coordinate, joint kept index), in ket
-    # order; one pass over them gives the cut index (cut coordinate ->
-    # [(tuple, joint kept index)]), the mask of kept indices met at each cut
-    # coordinate, the spread flags and the closed-form equalities
+    # order, and the mask of kept indices met at each cut coordinate
     cells = [[(k[axis], k[ka] * db + k[kb]) for k in tup.kets] for tup in tuples]
-    index: dict[int, list[tuple[int, int]]] = {}
     met: dict[int, int] = {}
-    spread: list[bool] = []
-    equalities: list[tuple[int, int]] = []
-    for t, tup in enumerate(tuples):
-        for x, i in cells[t]:
-            index.setdefault(x, []).append((t, i))
+    for tc in cells:
+        for x, i in tc:
             met[x] = met.get(x, 0) | 1 << i
-        spread.append(len({x for x, _ in cells[t]}) == tup.weight)
-        if spread[t]:
-            d0, *rest = (i * (P + 1) for _, i in cells[t])
-            equalities.extend((d0, d) for d in rest if d != d0)
-    # unit rows E[i, j] = 0 for (t, i), (u, j) at one cut coordinate, u not
-    # a partner of t; for a spread tuple without partners that is met[x]
-    # less bit i (see Presolve)
+    # a spread tuple gives its equalities, and one without partners ORs
+    # met[x] into its masks, bit i cleared below (see Presolve)
     zeroed = [0] * P
-    for x, entries in index.items():
-        for t, i in entries:
+    equalities: list[tuple[int, int]] = []
+    spread: list[bool] = []
+    others: list[int] = []
+    for t, tc in enumerate(cells):
+        spread.append(cd[t] or len({x for x, _ in tc}) == len(tc))
+        if spread[t]:
+            i0 = tc[0][1]
+            for _, i in tc:
+                if i != i0:
+                    equalities.append((i0 * (P + 1), i * (P + 1)))
+            if len(partners[t]) == 1:
+                for x, i in tc:
+                    zeroed[i] |= met[x]
+                continue
+        others.append(t)
+    # the others' unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
+    # coordinate, u not a partner of t, from the cut index
+    if others:
+        index: dict[int, list[tuple[int, int]]] = {}
+        for t, tc in enumerate(cells):
+            for x, i in tc:
+                index.setdefault(x, []).append((t, i))
+        for t in others:
             ts = partners[t]
-            if len(ts) == 1 and spread[t]:
-                zeroed[i] |= met[x] & ~(1 << i)
-            else:
-                for u, j in entries:
+            for x, i in cells[t]:
+                for u, j in index[x]:
                     if u not in ts:
                         zeroed[i] |= 1 << j
+    zeroed = [m & ~(1 << i) for i, m in enumerate(zeroed)]
     # per-pair rows: pairs of ket-sharing tuples, and the own pairs of the
     # tuples not spread on this cut, read off the cut cells (see Per-pair
     # rows); meets lists (E[q_m, q'_m'] unknown, m L/w_t, m' L/w_u)
     step = [order // tup.weight for tup in tuples]
     rows: list[dict[int, int]] = []
     skipped = 0
-    for t, tup in enumerate(tuples):
-        if len(partners[t]) == 1 and spread[t]:
-            continue  # no per-pair rows: its rows are unit rows and equalities
+    for t in others:
+        tup = tuples[t]
         blocks = [
             (u, [
                 (i * P + j, m * step[t], mu * step[u])

@@ -275,27 +275,21 @@ def coordinate_set(S: StateSet) -> set[tuple[int, int, int]]:
 
 def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest (i0, j0, k0) whose three coordinate planes
-    all lie inside the coordinate set, or None."""
-    coords = coordinate_set(S)
+    all lie inside the coordinate set, or None.  Kets are bounds-checked, so
+    a plane lies inside iff it holds as many distinct kets as it has cells."""
     dims = S.dims.as_tuple()
-    witness = []
-    for axis, d in enumerate(dims):
-        others = [range(n) for a, n in enumerate(dims) if a != axis]
-        c0 = next(
-            (
-                c
-                for c in range(d)
-                if all(
-                    (*rest[:axis], c, *rest[axis:]) in coords
-                    for rest in itertools.product(*others)
-                )
-            ),
-            None,
-        )
-        if c0 is None:
-            return None
-        witness.append(c0)
-    return tuple(witness)
+    counts = [[0] * d for d in dims]
+    ci, cj, ck = counts
+    for i, j, k in coordinate_set(S):
+        ci[i] += 1
+        cj[j] += 1
+        ck[k] += 1
+    cells = math.prod(dims)
+    witness = tuple(
+        next((c for c, n in enumerate(count) if n * d == cells), None)
+        for count, d in zip(counts, dims)
+    )
+    return None if None in witness else witness
 
 
 def check_special_set(S: StateSet) -> list[int]:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
@@ -318,6 +320,36 @@ class TestIdentityAndDagger:
 
 
 class TestDumpSystem:
+    # sha256 of dump_system on each cut of the paper's families; a change
+    # that reorders or alters any row of a system changes its digest
+    DIGESTS = {
+        ("c333", "A"): "04d022191128e83b336037f496616cac33cf5337c69a15441c448f818f7a670e",
+        ("c333", "B"): "03b7db9a0550f68bfe7932735b9c5a5ab307c8b6ad2636633d9fd9e2412c8692",
+        ("c333", "C"): "a3279769d8a2a6d84a46ca433d2aff35a0e09c36c5fd27185e267065f0fcdf36",
+        ("c345", "A"): "e7641972170c8fbb0808b0a2b8e011789e7f7ace0180c8e1f55af1eea5243c6d",
+        ("c345", "B"): "457e8b12ddfa9726aae7f393ea608e6851844f8ebf840c2b49d4e5363651d8e4",
+        ("c345", "C"): "cd947db0ec8b7e92c321817123b86e1790cf45ed7352a254109d102a13b8d175",
+        ("even4", "A"): "985009ce2c850f69dae5edab58b27e8277099ca56e8a32e41c6887600e24ee25",
+        ("even4", "B"): "bda55ae15b5628051db54edfd6dc6ddf67b32d753b16c5e55d523df2aa3df19f",
+        ("even4", "C"): "9d1b4ee0b597f1924a0ebaf7b2a52a48a0c51cc15a50862b0532a12ebee8b66b",
+        ("c444w4", "A"): "31f2bea4f61a82a690513d944d38f593d6d4742930602e2a176561ffa23d4fad",
+        ("c444w4", "B"): "2e50e675c04a8ea1c22a08783063ca43cfd54e5087999a38a34da4157fcec4c1",
+        ("c444w4", "C"): "45946a68f4fc3d1188078cdad2e19ce006c4fd0d3ab43dcd96fc116b1ba9fe15",
+        ("odd5", "A"): "036a62f65cb1935a0152c80ea28db16d7f9f24c6349bf79e50c0f05357d73326",
+        ("odd5", "B"): "ac48d0a3431bf80a85eb7639f851af55c1a3b4abbc362febdbf7ed847040c709",
+        ("odd5", "C"): "30441c3a9631a404dc2ecb0adc9817f1147690d9997e7f540dd1c408e5ed8b5c",
+    }
+    FAMILIES = {
+        "c333": c333, "c345": c345, "c444w4": c444_weight4,
+        "even4": lambda: even_d(4), "odd5": lambda: odd_d(5),
+    }
+
+    @pytest.mark.parametrize("name, cut", sorted(DIGESTS))
+    def test_dump_digest_is_pinned(self, name, cut):
+        S = self.FAMILIES[name]()
+        text = dump_system(build_constraints(S, Partition(cut)))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name, cut]
+
     def test_header_and_triplets(self):
         cs = build_constraints(PAIR222, Partition.A)
         text = dump_system(cs)

@@ -735,6 +735,104 @@ def test_theorem2_converse_dimension_equals_component_count(S):
         assert results[p].dimension == component_count(S, p)
 
 
+# --- the constraint build against the general per-entry builder ----------
+
+
+def reference_build(S, p):
+    """(zeroed, equalities, pair_rows, skipped_pairs) of S on cut p by the
+    general builder: a cut index over every tuple, each entry's mask from
+    its non-partners at its cut coordinate, the lone spread tuples' masks
+    as met[x] less their own bit, and the per-pair loop over every tuple."""
+    da, db = p.kept_dims(S.dims)
+    order, prime, root = S.field
+    roots = [pow(root, e, prime) for e in range(order)]
+    P = da * db
+    axis = p.cut_axis
+    ka, kb = p.kept_axes
+    tuples, partners = S.tuples, S.partners
+    cells = [[(k[axis], k[ka] * db + k[kb]) for k in tup.kets] for tup in tuples]
+    index, met, spread, equalities = {}, {}, [], []
+    for t, tup in enumerate(tuples):
+        for x, i in cells[t]:
+            index.setdefault(x, []).append((t, i))
+            met[x] = met.get(x, 0) | 1 << i
+        spread.append(len({x for x, _ in cells[t]}) == tup.weight)
+        if spread[t]:
+            d0, *rest = (i * (P + 1) for _, i in cells[t])
+            equalities.extend((d0, d) for d in rest if d != d0)
+    zeroed = [0] * P
+    for x, entries in index.items():
+        for t, i in entries:
+            ts = partners[t]
+            if len(ts) == 1 and spread[t]:
+                zeroed[i] |= met[x] & ~(1 << i)
+            else:
+                for u, j in entries:
+                    if u not in ts:
+                        zeroed[i] |= 1 << j
+    step = [order // tup.weight for tup in tuples]
+    rows, skipped = [], 0
+    for t, tup in enumerate(tuples):
+        if len(partners[t]) == 1 and spread[t]:
+            continue
+        blocks = [
+            (u, [
+                (i * P + j, m * step[t], mu * step[u])
+                for m, (x, i) in enumerate(cells[t])
+                for mu, (y, j) in enumerate(cells[u])
+                if x == y
+            ])
+            for u in sorted(partners[t])
+            if u != t or not spread[t]
+        ]
+        for n in range(tup.weight):
+            for u, meets in blocks:
+                for nu in range(tuples[u].weight):
+                    if u == t and nu == n:
+                        continue
+                    row = {}
+                    for k, a, b in meets:
+                        row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
+                    if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
+                        skipped += 1
+                        continue
+                    rows.append({k: r for k, v in row.items() if (r := v % prime)})
+    return zeroed, equalities, rows, skipped
+
+
+@st.composite
+def mixed_sets(draw):
+    """A layered partition plus one or two tuples drawn from its kets, so
+    lone spread tuples and ket-sharing tuples meet at one cut coordinate;
+    the added tuples may repeat a cut coordinate."""
+    S = draw(layered_partitions())
+    kets = sorted({k for t in S.tuples for k in t.kets})
+    extra = []
+    for _ in range(draw(st.integers(1, 2))):
+        w = draw(st.integers(2, min(S.dims.as_tuple())))
+        members = draw(st.lists(st.sampled_from(kets), min_size=w, max_size=w, unique=True))
+        extra.append(GhzTuple(w, tuple(members)))
+    return StateSet(S.dims, S.tuples + tuple(extra))
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        state_sets(weights=(2, 3, 4)),
+        overlapping_sets(max_tuples=6),
+        collapsed_sets(),
+        mixed_sets(),
+    )
+)
+def test_constraint_build_matches_general_builder(S):
+    """Every mask, equality, per-pair row and skip count is the general
+    builder's, in order."""
+    for p in Partition:
+        cs = build_constraints(S, p)
+        got = (cs.zeroed, cs.equalities, cs.pair_rows, cs.skipped_pairs)
+        assert got == reference_build(S, p)
+
+
 class RecordingEliminator(SparseEliminator):
     """Keeps the last eliminator asked for a solution, and its free column."""
 
