@@ -7,7 +7,6 @@ from .graphs import (
     build_graph,
     build_path_graph,
     connected_components,
-    is_connected,
     to_dot,
 )
 from .oracle import (

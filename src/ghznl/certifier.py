@@ -143,12 +143,6 @@ def certify_via_graphs(S: StateSet) -> CertReport:
     return CertReport(hyp, parts, theorem, verdict, verdict, notes=notes)
 
 
-def _verdict_from_oracle(results: dict[Partition, NullspaceResult]) -> Verdict:
-    if all(r.trivial_only for r in results.values()):
-        return Verdict.STRONGEST_NONLOCAL
-    return Verdict.NOT_STRONGEST_NONLOCAL
-
-
 def certify(S: StateSet, method: str = "both", force: bool = False) -> CertReport:
     """Full certification pipeline.
 
@@ -164,11 +158,7 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
     report = certify_via_graphs(S)
-    want_oracle = method in ("oracle", "both") or report.verdict in (
-        Verdict.INCONCLUSIVE,
-        Verdict.HYPOTHESES_VIOLATED,
-    )
-    if not want_oracle:
+    if method == "graph" and report.verdict in _DECIDED:
         return report
     try:
         # orthogonality violations are already reported in the hypotheses;
@@ -185,8 +175,10 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
             report.verdict = Verdict.INCONCLUSIVE
         return report
     report.oracle = results
-    report.oracle_verdict = _verdict_from_oracle(results)
-    report.verdict = report.oracle_verdict
+    trivial = all(r.trivial_only for r in results.values())
+    report.verdict = report.oracle_verdict = (
+        Verdict.STRONGEST_NONLOCAL if trivial else Verdict.NOT_STRONGEST_NONLOCAL
+    )
     if report.graph_verdict in _DECIDED:
         report.agreement = report.graph_verdict == report.oracle_verdict
     return report

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import constructions
 from .certifier import Verdict, certify, report_to_dict
-from .graphs import build_graph, build_path_graph, is_connected, to_dot
+from .graphs import build_graph, build_path_graph, component_count, to_dot
 from .oracle import (
     ResourceGuardError,
     build_constraints,
@@ -108,11 +108,7 @@ def _partitions(selector: str) -> list[Partition]:
 
 
 def cmd_generate(args) -> int:
-    try:
-        S = constructions.build(args.construction, args.d)
-    except ValueError as e:
-        raise CliError(str(e)) from e
-    text = write_state_set(S)
+    S, text = _load_set(args)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
     else:
@@ -156,7 +152,7 @@ def cmd_graph(args) -> int:
             sys.stdout.write(dot)
         print(
             f"cut {p.value}: {len(G.vertices)} vertices, {len(G.edges)} edges, "
-            f"{'connected' if is_connected(G) else 'disconnected'}",
+            f"{'connected' if component_count(S, p) <= 1 else 'disconnected'}",
             file=sys.stderr,
         )
     if outputs:
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument("--d", type=int, help="dimension for the odd/even families")
     g.add_argument("--output", type=Path)
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(func=cmd_generate, input=None)
 
     c = sub.add_parser("certify", help="produce a certification report")
     _add_input_args(c)

@@ -4,7 +4,8 @@ Labels record the sub-family and index ("S1[i,j]", "S4", "B3", ...) so tests
 and ablation experiments can address individual tuples.  Generators reproduce
 the published index patterns verbatim, including the d = 4 even-family tuple
 S5 whose kets are not coordinately different; the validators, not the
-generators, report that defect.
+generators, report that defect.  One formula, the rings S1-S3 plus the corner
+tuple S4, builds the odd family and c345 (its instance at 3 x 4 x 5).
 """
 
 from __future__ import annotations
@@ -17,16 +18,21 @@ def _pair(label: str, k1: tuple[int, int, int], k2: tuple[int, int, int]) -> Ghz
 
 
 def c333() -> StateSet:
-    """26 weight-2 states in C3 x C3 x C3 (13 tuples)."""
+    """26 weight-2 states in C3 x C3 x C3 (13 tuples): the odd family at d = 3."""
     return odd_d(3)
+
+
+def c345() -> StateSet:
+    """54 weight-2 states in C3 x C4 x C5 (27 tuples): the odd-family formula
+    at 3 x 4 x 5."""
+    return _odd_family(3, 4, 5)
 
 
 def odd_d(d: int) -> StateSet:
     """6(d-1)^2 + 2 states in Cd x Cd x Cd, d odd and >= 3."""
     if d < 3 or d % 2 == 0:
         raise ValueError(f"odd family requires an odd d >= 3, got {d}")
-    return StateSet(SystemDims(d, d, d), _ring_tuples(d) + (_pair(
-        "S4", (0, 0, 0), (d - 1, d - 1, d - 1)),))
+    return _odd_family(d, d, d)
 
 
 def even_d(d: int) -> StateSet:
@@ -37,39 +43,29 @@ def even_d(d: int) -> StateSet:
         _pair("S4", (0, 0, 0), (2, 3, 2)),
         _pair("S5", (d - 1, d - 1, d - 1), (2, 3, 3)),
     )
-    return StateSet(SystemDims(d, d, d), _ring_tuples(d) + extra)
+    return StateSet(SystemDims(d, d, d), _ring_tuples(d, d, d) + extra)
 
 
-def _ring_tuples(d: int) -> tuple[GhzTuple, ...]:
+def _odd_family(d1: int, d2: int, d3: int) -> StateSet:
+    """The rings S1, S2, S3 plus the corner tuple S4 in C^d1 x C^d2 x C^d3."""
+    corner = _pair("S4", (0, 0, 0), (d1 - 1, d2 - 1, d3 - 1))
+    return StateSet(SystemDims(d1, d2, d3), _ring_tuples(d1, d2, d3) + (corner,))
+
+
+def _ring_tuples(d1: int, d2: int, d3: int) -> tuple[GhzTuple, ...]:
     """The S1, S2, S3 sub-families shared by the odd and even constructions."""
-    h = d - 1
+    h1, h2, h3 = d1 - 1, d2 - 1, d3 - 1
     tuples = []
-    for i in range(h):
-        for j in range(h):
-            tuples.append(_pair(f"S1[{i},{j}]", (0, i, j + 1), (h, i + 1, j)))
-    for i in range(h):
-        for j in range(h):
-            tuples.append(_pair(f"S2[{i},{j}]", (i + 1, 0, j), (i, h, j + 1)))
-    for i in range(h):
-        for j in range(h):
-            tuples.append(_pair(f"S3[{i},{j}]", (i, j + 1, 0), (i + 1, j, h)))
+    for i in range(h2):
+        for j in range(h3):
+            tuples.append(_pair(f"S1[{i},{j}]", (0, i, j + 1), (h1, i + 1, j)))
+    for i in range(h1):
+        for j in range(h3):
+            tuples.append(_pair(f"S2[{i},{j}]", (i + 1, 0, j), (i, h2, j + 1)))
+    for i in range(h1):
+        for j in range(h2):
+            tuples.append(_pair(f"S3[{i},{j}]", (i, j + 1, 0), (i + 1, j, h3)))
     return tuple(tuples)
-
-
-def c345() -> StateSet:
-    """54 weight-2 states in C3 x C4 x C5 (27 tuples)."""
-    tuples = []
-    for i in range(3):
-        for j in range(4):
-            tuples.append(_pair(f"S1[{i},{j}]", (0, i, j + 1), (2, i + 1, j)))
-    for i in range(2):
-        for j in range(4):
-            tuples.append(_pair(f"S2[{i},{j}]", (i + 1, 0, j), (i, 3, j + 1)))
-    for i in range(2):
-        for j in range(3):
-            tuples.append(_pair(f"S3[{i},{j}]", (i, j + 1, 0), (i + 1, j, 4)))
-    tuples.append(_pair("S4", (0, 0, 0), (2, 3, 4)))
-    return StateSet(SystemDims(3, 4, 5), tuple(tuples))
 
 
 _WEIGHT4_ROWS: tuple[tuple[int, ...], ...] = (

@@ -7,8 +7,9 @@ sorting by first projected coordinate).  Connectivity of all three graphs is
 the certificate the certifier relies on.
 
 Every count runs arithmetic.union_find over integer indices:
-`component_count` straight from the kets (the certifier builds no graph),
-and `connected_components` over a built graph, which is kept for drawing.
+`component_count` straight from the kets (the certifier and `ghznl graph`
+build no graph for it), and `connected_components` over a built graph, which
+no library code calls; the tests check `component_count` against it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,6 @@ class PartitionGraph:
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
     kind: str = "full"  # "full" | "path"
-
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop on {u}")
-            if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
 
 
 def _vertices(dims: SystemDims, p: Partition) -> frozenset[Vertex]:
@@ -88,11 +82,6 @@ def connected_components(G: PartitionGraph) -> int:
     """Number of components of a built graph."""
     index = {v: i for i, v in enumerate(G.vertices)}
     return union_find(len(index), [(index[u], index[v]) for u, v in G.edges])[1]
-
-
-def is_connected(G: PartitionGraph) -> bool:
-    """True iff at most one component (the empty graph counts as connected)."""
-    return connected_components(G) <= 1
 
 
 def to_dot(G: PartitionGraph) -> str:

@@ -104,7 +104,6 @@ class ConstraintSystem:
 
     partition: Partition
     kept_dims: tuple[int, int]
-    n_states: int
     pair_rows: list[dict[int, int]]
     order: int
     prime: int
@@ -258,8 +257,7 @@ def build_constraints(
                         continue
                     rows.append({k: r for k, v in row.items() if (r := v % prime)})
     return ConstraintSystem(
-        p, (da, db), S.n_states, rows, order, prime, root, skipped,
-        zeroed, equalities,
+        p, (da, db), rows, order, prime, root, skipped, zeroed, equalities,
     )
 
 

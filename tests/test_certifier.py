@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -205,6 +206,45 @@ class TestReportToDict:
     def test_graph_only_report_omits_oracle(self):
         doc = report_to_dict(certify(c333(), method="graph"))
         assert "oracle" not in doc
+
+
+class TestReportsPinned:
+    # sha256 of each report; a change of verdict, count, note or field order
+    # changes its digest.  A change that alters a report on purpose re-pins
+    # the digest and says why.
+    DIGESTS = {
+        ("c333", "graph"): "1414cc80b87bdc97b6e2f190643cc2aaf6b6cbc55552b6d1c2658abf2babd415",
+        ("c333", "both"): "9253a66208f721802a2e2dee3ad2ef94d7097c78c3fa7e114c8ece7c6f5b1148",
+        ("c345", "graph"): "1414cc80b87bdc97b6e2f190643cc2aaf6b6cbc55552b6d1c2658abf2babd415",
+        ("c345", "both"): "f782be33e59b76449a45a182310e46e9ab624b6c6e02466a0ad6b7b6c12b7743",
+        ("c444w4", "graph"): "70e96527a53eba24e720f89bda05b8b7d3028ae5df09a3b503e60e166abe8c0e",
+        ("c444w4", "both"): "0a0179dae251cb7fb647fd14443434b4a08c2af5dd041728ec5563cb7defea3d",
+        ("odd5", "graph"): "1414cc80b87bdc97b6e2f190643cc2aaf6b6cbc55552b6d1c2658abf2babd415",
+        ("odd5", "both"): "5f5b91240e8fc18089ea7ca6571afdd116d11abca046ffde026b16c8d4a8e65b",
+        ("odd7", "graph"): "1414cc80b87bdc97b6e2f190643cc2aaf6b6cbc55552b6d1c2658abf2babd415",
+        ("odd7", "both"): "f372abefc040b96b8fe3f1c3fac1f242aad9bdb783c5b483a78149cb89c286e0",
+        ("even4", "graph"): "e30551660e3116a55db3bbcb8956ac9b6b9dba59b7d85f5ba32381b1909abd10",
+        ("even4", "both"): "e30551660e3116a55db3bbcb8956ac9b6b9dba59b7d85f5ba32381b1909abd10",
+        ("even6", "graph"): "1414cc80b87bdc97b6e2f190643cc2aaf6b6cbc55552b6d1c2658abf2babd415",
+        ("even6", "both"): "95187623703e1eef735ccc5a134a51bdd2b851562b37569b885763054a6849f9",
+        ("even4-ablated", "graph"): "d6f19a1ef21c4343bf010d85af6d740b884805ebe3cf236cbfe1bfd50eea99bc",
+        ("even4-ablated", "both"): "d6f19a1ef21c4343bf010d85af6d740b884805ebe3cf236cbfe1bfd50eea99bc",
+        ("pair222", "graph"): "857a18ff4c6be346d1064d08e663d1e72e8ab0aba681d98b99519138a087718c",
+        ("pair222", "both"): "857a18ff4c6be346d1064d08e663d1e72e8ab0aba681d98b99519138a087718c",
+    }
+    SETS = {
+        "c333": c333, "c345": c345, "c444w4": c444_weight4,
+        "odd5": lambda: odd_d(5), "odd7": lambda: odd_d(7),
+        "even4": lambda: even_d(4), "even6": lambda: even_d(6),
+        "even4-ablated": lambda: even_d(4).without_labels(["S4", "S5"]),
+        "pair222": lambda: PAIR222,
+    }
+
+    @pytest.mark.parametrize("name, method", sorted(DIGESTS))
+    def test_report_digest_is_pinned(self, name, method):
+        doc = report_to_dict(certify(self.SETS[name](), method=method))
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name, method]
 
 
 def _replace(monkeypatch, fn, replacement):

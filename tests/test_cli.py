@@ -185,6 +185,34 @@ class TestGraph:
         dot = (tmp_path / "graph_path_B.dot").read_text()
         assert dot.count("--") < 16 * 6  # fewer edges than the full graph
 
+    @pytest.mark.parametrize("path_subgraph", [False, True], ids=["full", "path"])
+    @pytest.mark.parametrize("name", ["c333", "c345", "even4-ablated"])
+    def test_connectivity_agrees_with_certify(self, tmp_path, capsys, name,
+                                              path_subgraph):
+        # even4 without S4 and S5 splits into two parity components per cut
+        if name == "even4-ablated":
+            doc = tmp_path / "ablated.json"
+            S = even_d(4).without_labels(["S4", "S5"])
+            doc.write_text(write_state_set(S))
+            source = ["--input", str(doc)]
+        else:
+            source = ["--construction", name]
+        extra = ["--path-subgraph"] if path_subgraph else []
+        _, out, _ = run(capsys, "certify", *source, "--method", "graph")
+        expected = {
+            cut: "connected" if a["full_connected"] else "disconnected"
+            for cut, a in json.loads(out)["partitions"].items()
+        }
+        code, _, err = run(capsys, "graph", *source, "--partition", "all", *extra)
+        assert code == EXIT_STRONGEST
+        printed = {
+            line.split(":")[0].removeprefix("cut "): line.rsplit(" ", 1)[1]
+            for line in err.splitlines() if line.startswith("cut ")
+        }
+        assert printed == expected
+        if name == "even4-ablated":
+            assert set(expected.values()) == {"disconnected"}
+
 
 class TestOracle:
     def test_c333_stdout(self, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ghznl.constructions import build, c333, c345, c444_weight4, even_d, odd_d
@@ -7,6 +9,7 @@ from ghznl.state_model import (
     check_plane_containing,
     check_special_set,
     coordinate_set,
+    write_state_set,
 )
 
 
@@ -141,3 +144,27 @@ class TestBuildRegistry:
     def test_missing_d(self):
         with pytest.raises(ValueError, match="requires"):
             build("even")
+
+
+class TestDocumentsPinned:
+    # sha256 of each construction's document; it changes with any label,
+    # ket or tuple order, which the set's own equality does not all see
+    DIGESTS = {
+        "c333": "621a7bb4466eec914cc7ce32636830743bb79da3ed69d7873d164fe9942998f4",
+        "c345": "4ea2331a5fa9672bb0853e078da47f53634c0b2c7537a16ec23a1fb77e988c98",
+        "c444w4": "ab676e153a88e73aa8844233ac4deea501c31ab4012c8a194bfa94bec0de7039",
+        "odd5": "f18fec682bd858d21208e1857f3f86384e108f82806157294877e11768878bc2",
+        "odd7": "eac2d314a2a73b50d070697c1a7a8756f96a8ec132522da6b0e17f4e977c7353",
+        "even4": "90df71a4e80102e5dd1136b355723f9998b0f3a37c108d128cc6e03117aadd02",
+        "even6": "7d3d0bbe34f1e5046859d7d1f1b417d4451234acac260901c1fa8698dd5db598",
+    }
+    BUILDERS = {
+        "c333": c333, "c345": c345, "c444w4": c444_weight4,
+        "odd5": lambda: odd_d(5), "odd7": lambda: odd_d(7),
+        "even4": lambda: even_d(4), "even6": lambda: even_d(6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_document_digest_is_pinned(self, name):
+        text = write_state_set(self.BUILDERS[name]())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[name]

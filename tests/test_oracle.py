@@ -41,7 +41,6 @@ class TestBuildConstraints:
         cs = build_constraints(c333(), Partition.A)
         assert cs.n_unknowns == 81
         assert cs.side == 9
-        assert cs.n_states == 26
         # every off-diagonal unknown is zeroed by a unit row (the 13 tuples
         # share no ket), followed by one diagonal difference row per tuple
         assert len(unit_rows(cs)) == 72
@@ -73,7 +72,6 @@ class TestBuildConstraints:
         # a_{00,00} and a_{11,11}, emitted once as their difference
         cs = build_constraints(PAIR222, Partition.A)
         assert cs.rows == [{0 * 4 + 0: 1, 3 * 4 + 3: cs.prime - 1}]
-        assert cs.n_states == 2
 
     def test_unit_rows_exclude_only_partners_of_the_row_tuple(self):
         # T shares (1,1,1) with U and U shares (2,2,2) with V, but V is not
@@ -157,7 +155,7 @@ class TestSparseEliminator:
 
 class TestNullspace:
     def test_empty_system_full_dimension(self):
-        cs = ConstraintSystem(Partition.A, (2, 2), 0, [], 1, P7, 1)
+        cs = ConstraintSystem(Partition.A, (2, 2), [], 1, P7, 1)
         ns = nullspace(cs)
         assert ns.dimension == 16
         assert ns.rank == 0
@@ -167,7 +165,7 @@ class TestNullspace:
         # bit j of zeroed[i] is the unit row E[i, j] = 0; on the 4 x 4
         # unknowns, E[0, 1] is off the diagonal and E[1, 1] is on it
         def system(zeroed):
-            return ConstraintSystem(Partition.A, (2, 2), 0, [], 1, P7, 1, zeroed=zeroed)
+            return ConstraintSystem(Partition.A, (2, 2), [], 1, P7, 1, zeroed=zeroed)
 
         off, on = system([0b10, 0, 0, 0]), system([0, 0b10, 0, 0])
         assert off.rows == [{1: 1}] and on.rows == [{5: 1}]
@@ -183,7 +181,7 @@ class TestNullspace:
         # E[1, 1] joins class 0, and the pair row E[0, 0] = E[2, 2] makes
         # root 0 a pivot: the free column is E[2, 2], not E[1, 1]
         cs = ConstraintSystem(
-            Partition.A, (2, 2), 0, [{0: 1, 10: P7 - 1}], 1, P7, 1,
+            Partition.A, (2, 2), [{0: 1, 10: P7 - 1}], 1, P7, 1,
             zeroed=[0b1111 & ~(1 << i) for i in range(4)], equalities=[(0, 5)],
         )
         ns = nullspace(cs)

@@ -14,7 +14,6 @@ from ghznl.graphs import (
     build_path_graph,
     component_count,
     connected_components,
-    is_connected,
 )
 from ghznl.oracle import build_constraints, nullspace, oracle_all
 from ghznl.state_model import (
@@ -342,8 +341,8 @@ def test_path_subgraph_and_connectivity_implication(S):
         assert (
             connected_components(path) == connected_components(full)
         )
-        if is_connected(path):
-            assert is_connected(full)
+        if connected_components(path) <= 1:
+            assert connected_components(full) <= 1
 
 
 def bfs_component_count(S, p):
