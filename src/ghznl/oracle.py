@@ -53,30 +53,33 @@ Per-pair rows.  Every row left is also read off the kets, and no state
 is expanded.  State n of a weight-w tuple is sum_m omega_w^(m n) |k_m>,
 so the row of states (t, n), (u, n') has omega_L^(m' n' L/w_u -
 m n L/w_t) at E[q_m, q'_m'] for each ket pair (m, m') of t, u at one cut
-coordinate.
+coordinate.  If t and u share exactly one ket, each such row's trace is
+one root of unity, so all w_t * w_u pairs are skipped and no row is built.
 
 Presolve.  The system keeps its unit rows as one bit mask per row of E
 (bit j of zeroed[i] is the row E[i, j] = 0), its difference rows as
-equalities (d0, d) and the rest as per-pair rows.  An entry (t, i) at cut
-coordinate x gets bit j of zeroed[i] for every entry (u, j) at x with u not
-a partner of t.  Never j = i: x and i name one ket, so (u, i) at x would
-share t's ket.  A tuple without partners that is spread on the cut has one
-entry (t, i) at x, so its mask there is met[x], every kept index met at x,
-less bit i: build_constraints ORs met[x] into zeroed[i] and clears the
-diagonal bits once, at the end.  Only the other tuples walk a cut index.
-nullspace adds the popcount of
-the masks to the rank and P less the number of classes of the equalities
-(arithmetic.union_find), drops the zeroed unknowns from the per-pair rows,
-maps each diagonal unknown to its class root (summing coefficients mod p)
-and brings only those rows to echelon form.  That is the rank of the whole
-system, as no zeroed unknown is diagonal: E[q, q] = 0 would need a ket
-common to two tuples that share none.  The identity solves the difference rows and every
-per-pair row (its value there is the row's trace, and rows with a nonzero
-trace are skipped), so contains_identity is exactly "no zeroed[i] has bit
-i".  The witness's free column is read off the masks too: with the pivots
-marked in a copy of each zeroed[i], the first row i with a clear bit other
-than i gives the least free off-diagonal unknown, else the least class
-root r with bit r clear gives a diagonal one: O(P + rank), no P^2 scan.
+kept-index pairs (i0, i) for E[i0, i0] = E[i, i] (the rows view names
+their unknowns i*(P+1)) and the rest as per-pair rows.  An entry (t, i) at
+cut coordinate x gets bit j of zeroed[i] for every entry (u, j) at x with
+u not a partner of t.  Never j = i: x and i name one ket, so (u, i) at x
+would share t's ket.  A tuple without partners that is spread on the cut
+has one entry (t, i) at x, so its mask there is met[x], every kept index
+met at x, less bit i: build_constraints reads i off the ket, ORs met[x]
+into zeroed[i] and clears the diagonal bits once, at the end.  Only the
+other tuples, if any, get cut cells, a cut index and the roots.  nullspace
+adds the popcount of the masks to the rank and P less the number of
+classes of the equalities (arithmetic.union_find), drops the zeroed
+unknowns from the per-pair rows, maps each diagonal unknown to its class
+root (summing coefficients mod p) and brings only those rows to echelon
+form.  That is the rank of the whole system, as no zeroed unknown is
+diagonal: E[q, q] = 0 would need a ket common to two tuples that share
+none.  The identity solves the difference rows and every per-pair row (its
+value there is the row's trace, and rows with a nonzero trace are
+skipped), so contains_identity is exactly "no zeroed[i] has bit i".  The
+witness's free column is read off the masks too: with the pivots marked in
+a copy of each zeroed[i], the first row i with a clear bit other than i
+gives the least free off-diagonal unknown, else the least class root r
+with bit r clear gives a diagonal one: O(P + rank), no P^2 scan.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class ResourceGuardError(RuntimeError):
 class ConstraintSystem:
     """One cut's rows: the unit rows as P bit masks (bit j of zeroed[i] is
     E[i, j] = 0; left empty, no unit rows), the diagonal equalities
-    E[d0, d0] = E[d, d] as (d0, d), and the per-pair rows."""
+    E[i0, i0] = E[i, i] as kept-index pairs (i0, i), and the per-pair rows."""
 
     partition: Partition
     kept_dims: tuple[int, int]
@@ -129,7 +132,8 @@ class ConstraintSystem:
                 low = m & -m
                 rows.append({u + low.bit_length(): 1})
                 m -= low
-        rows.extend({d0: 1, d: self.prime - 1} for d0, d in self.equalities)
+        q = P + 1  # E[i, i] is unknown i * q
+        rows.extend({i0 * q: 1, i * q: self.prime - 1} for i0, i in self.equalities)
         return rows + self.pair_rows
 
     @property
@@ -157,21 +161,22 @@ def build_constraints(
 
     Distinct tuples T, U that share no ket contribute the unit rows
     E[proj k, proj k'] = 0, one per k in T, k' in U with cut(k) = cut(k'),
-    held as one bit mask per row of E; they span the rows of the block's
-    w_T * w_U state pairs (see the module docstring).  Next, each tuple spread on
-    the cut (pairwise distinct cut coordinates) contributes the w - 1
-    diagonal difference rows E[q_0, q_0] - E[q_m, q_m], q_m != q_0, which
-    span the rows of its own state pairs.  Last, every other ordered pair
-    of distinct states (tuples sharing a ket, or two states of a tuple not
-    spread on the cut) gets its own row, built from the two tuples' cut
-    cells.  A non-orthogonal pair carries no orthogonality to
-    preserve, so its row is dropped and counted in skipped_pairs; the pair
-    is found from that row's trace (its overlap).  The even-d family at
-    d = 4 has such pairs: its published kets collide and break
-    orthogonality.  Systems above RESOURCE_GUARD_UNKNOWNS unknowns are
-    refused unless force is set.  Spread tuples without partners OR met[x]
-    into their masks; only the others walk a cut index (see Presolve).
-    S.partners, S.coordinately_different and S.field are cached on the set.
+    held as one bit mask per row of E; they span the rows of their w_T * w_U
+    state pairs (see the module docstring).  Next, each tuple spread on the
+    cut (pairwise distinct cut coordinates) contributes the w - 1 diagonal
+    difference rows E[q_0, q_0] - E[q_m, q_m], q_m != q_0, which span the
+    rows of its own state pairs.  Last, every other ordered pair of distinct
+    states (tuples sharing a ket, or two states of a tuple not spread on the
+    cut) gets its own row, built from the two tuples' cut cells.  A
+    non-orthogonal pair carries no orthogonality to preserve, so its row is
+    dropped and counted in skipped_pairs; the pair is found from that row's
+    trace (its overlap), or, for two tuples that share exactly one ket,
+    without a row.  The even-d family at d = 4 has such pairs: its published
+    kets collide and break orthogonality.  Systems above
+    RESOURCE_GUARD_UNKNOWNS unknowns are refused unless force is set.
+    Spread tuples without partners OR met[x] into their masks; only the
+    others get cut cells and a cut index (see Presolve).  S.partners,
+    S.coordinately_different and S.field are cached on the set.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -181,81 +186,86 @@ def build_constraints(
             f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
         )
     order, prime, root = S.field
-    roots = [pow(root, e, prime) for e in range(order)]
     P = da * db
     axis = p.cut_axis
     ka, kb = p.kept_axes
     tuples, partners, cd = S.tuples, S.partners, S.coordinately_different
-    # each tuple's cut cells (cut coordinate, joint kept index), in ket
-    # order, and the mask of kept indices met at each cut coordinate
-    cells = [[(k[axis], k[ka] * db + k[kb]) for k in tup.kets] for tup in tuples]
-    met: dict[int, int] = {}
-    for tc in cells:
-        for x, i in tc:
-            met[x] = met.get(x, 0) | 1 << i
+    # the mask of kept indices met at each (bounds-checked) cut coordinate
+    met = [0] * S.dims.as_tuple()[axis]
+    for tup in tuples:
+        for k in tup.kets:
+            met[k[axis]] |= 1 << k[ka] * db + k[kb]
     # a spread tuple gives its equalities, and one without partners ORs
     # met[x] into its masks, bit i cleared below (see Presolve)
     zeroed = [0] * P
     equalities: list[tuple[int, int]] = []
-    spread: list[bool] = []
-    others: list[int] = []
-    for t, tc in enumerate(cells):
-        spread.append(cd[t] or len({x for x, _ in tc}) == len(tc))
-        if spread[t]:
-            i0 = tc[0][1]
-            for _, i in tc:
+    others: list[tuple[int, bool]] = []
+    for t, tup in enumerate(tuples):
+        kets = tup.kets
+        spread = cd[t] or len({k[axis] for k in kets}) == len(kets)
+        lone = spread and len(partners[t]) == 1
+        if spread:
+            i0 = kets[0][ka] * db + kets[0][kb]
+            for k in kets:
+                i = k[ka] * db + k[kb]
                 if i != i0:
-                    equalities.append((i0 * (P + 1), i * (P + 1)))
-            if len(partners[t]) == 1:
-                for x, i in tc:
-                    zeroed[i] |= met[x]
-                continue
-        others.append(t)
-    # the others' unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
-    # coordinate, u not a partner of t, from the cut index
+                    equalities.append((i0, i))
+                if lone:
+                    zeroed[i] |= met[k[axis]]
+        if not lone:
+            others.append((t, spread))
+    rows: list[dict[int, int]] = []
+    skipped = 0
     if others:
+        # the cut index of every tuple's cells (cut coordinate, joint kept
+        # index), and the others' cells in ket order (a partner of one of
+        # the others is one of them too)
         index: dict[int, list[tuple[int, int]]] = {}
-        for t, tc in enumerate(cells):
-            for x, i in tc:
-                index.setdefault(x, []).append((t, i))
-        for t in others:
-            ts = partners[t]
+        for t, tup in enumerate(tuples):
+            for k in tup.kets:
+                index.setdefault(k[axis], []).append((t, k[ka] * db + k[kb]))
+        cells = {t: [(k[axis], k[ka] * db + k[kb]) for k in tuples[t].kets]
+                 for t, _ in others}
+        roots = [pow(root, e, prime) for e in range(order)]
+        step = [order // tup.weight for tup in tuples]
+        for t, spread in others:
+            # the unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
+            # coordinate, u not a partner of t
+            tup, ts = tuples[t], partners[t]
             for x, i in cells[t]:
                 for u, j in index[x]:
                     if u not in ts:
                         zeroed[i] |= 1 << j
+            # per-pair rows of t's partners and, if t is not spread, its own
+            # (see Per-pair rows): meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
+            blocks = []
+            for u in sorted(ts):
+                meets = [
+                    (i * P + j, m * step[t], mu * step[u])
+                    for m, (x, i) in enumerate(cells[t])
+                    for mu, (y, j) in enumerate(cells[u])
+                    if x == y
+                ]
+                # one shared ket (one diagonal meet; a tuple meets itself on
+                # all w >= 2 kets): every overlap is a root of unity, skipped
+                if sum(k % (P + 1) == 0 for k, _, _ in meets) == 1:
+                    skipped += tup.weight * tuples[u].weight
+                elif u != t or not spread:
+                    blocks.append((u, meets))
+            for n in range(tup.weight):
+                for u, meets in blocks:
+                    for nu in range(tuples[u].weight):
+                        if u == t and nu == n:
+                            continue
+                        row: dict[int, int] = {}
+                        for k, a, b in meets:
+                            row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
+                        # the trace, on the diagonal unknowns k*(P+1), is the overlap
+                        if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
+                            skipped += 1
+                            continue
+                        rows.append({k: r for k, v in row.items() if (r := v % prime)})
     zeroed = [m & ~(1 << i) for i, m in enumerate(zeroed)]
-    # per-pair rows: pairs of ket-sharing tuples, and the own pairs of the
-    # tuples not spread on this cut, read off the cut cells (see Per-pair
-    # rows); meets lists (E[q_m, q'_m'] unknown, m L/w_t, m' L/w_u)
-    step = [order // tup.weight for tup in tuples]
-    rows: list[dict[int, int]] = []
-    skipped = 0
-    for t in others:
-        tup = tuples[t]
-        blocks = [
-            (u, [
-                (i * P + j, m * step[t], mu * step[u])
-                for m, (x, i) in enumerate(cells[t])
-                for mu, (y, j) in enumerate(cells[u])
-                if x == y
-            ])
-            for u in sorted(partners[t])
-            if u != t or not spread[t]
-        ]
-        for n in range(tup.weight):
-            for u, meets in blocks:
-                for nu in range(tuples[u].weight):
-                    if u == t and nu == n:
-                        continue
-                    row: dict[int, int] = {}
-                    for k, a, b in meets:
-                        row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
-                    # the trace, on the diagonal unknowns k*(P+1), is the overlap
-                    if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
-                        skipped += 1
-                        continue
-                    rows.append({k: r for k, v in row.items() if (r := v % prime)})
     return ConstraintSystem(
         p, (da, db), rows, order, prime, root, skipped, zeroed, equalities,
     )
@@ -288,20 +298,21 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
     p; only the per-pair rows are eliminated (see Presolve above)."""
     zeroed, prime, P = cs.zeroed, cs.prime, cs.side
     # diagonal classes: E[i, i] -> E[r, r], r the least index of i's class
-    classes, count = union_find(
-        P, ((d0 // (P + 1), d // (P + 1)) for d0, d in cs.equalities)
-    )
-    root = {i * (P + 1): r * (P + 1) for i, r in enumerate(classes) if r != i}
+    classes, count = union_find(P, cs.equalities)
     elim = SparseEliminator(prime)
-    for row in cs.pair_rows:
-        reduced: dict[int, int] = {}
-        for u, v in row.items():
-            if not zeroed[u // P] >> u % P & 1:
-                u = root.get(u, u)
-                reduced[u] = (reduced.get(u, 0) + v) % prime
-        if reduced := {u: v for u, v in reduced.items() if v}:
-            elim.add_row(reduced)
-    rank = sum(m.bit_count() for m in zeroed) + P - count + elim.rank
+    if cs.pair_rows:
+        root = {i * (P + 1): r * (P + 1) for i, r in enumerate(classes) if r != i}
+        for row in cs.pair_rows:
+            reduced: dict[int, int] = {}
+            for u, v in row.items():
+                if not zeroed[u // P] >> u % P & 1:
+                    u = root.get(u, u)
+                    reduced[u] = (reduced.get(u, 0) + v) % prime
+            if reduced := {u: v for u, v in reduced.items() if v}:
+                elim.add_row(reduced)
+    # every unit row is independent; the equalities have rank P - count
+    n_rows = cs.n_rows
+    rank = n_rows - len(cs.equalities) + P - count - len(cs.pair_rows) + elim.rank
     dimension = cs.n_unknowns - rank
     witness = None
     if dimension > 1:
@@ -328,7 +339,7 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
         dimension=dimension,
         rank=rank,
         n_unknowns=cs.n_unknowns,
-        n_rows=cs.n_rows,
+        n_rows=n_rows,
         skipped_pairs=cs.skipped_pairs,
         contains_identity=not any(m >> i & 1 for i, m in enumerate(zeroed)),
         prime=prime,

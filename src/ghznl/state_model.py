@@ -235,7 +235,9 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     sum_m omega_w^(m n) |k_m> / sqrt(w), so the unscaled overlap of (t, n)
     and (u, n') is the sum of omega_L^(mu n' L/w_u - m n L/w_t) over the
     shared kets k_m = k'_mu: the oracle's per-pair coefficient, and p
-    exceeds every such sum's norm bound, so the test is exact.
+    exceeds every such sum's norm bound, so the test is exact.  With one
+    shared ket that sum is a single root of unity, so all w * w' pairs of
+    the two tuples are listed without it.
     """
     pairs = [
         (t, u)
@@ -263,7 +265,8 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
             (first[t] + n, first[u] + nu)
             for n in range(a.weight)
             for nu in range(b.weight)
-            if sum(roots[(mu * nu - m * n) % order] for m, mu in shared) % prime
+            if len(shared) == 1
+            or sum(roots[(mu * nu - m * n) % order] for m, mu in shared) % prime
         )
     return sorted(violations)
 

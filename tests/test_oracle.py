@@ -182,7 +182,7 @@ class TestNullspace:
         # root 0 a pivot: the free column is E[2, 2], not E[1, 1]
         cs = ConstraintSystem(
             Partition.A, (2, 2), [{0: 1, 10: P7 - 1}], 1, P7, 1,
-            zeroed=[0b1111 & ~(1 << i) for i in range(4)], equalities=[(0, 5)],
+            zeroed=[0b1111 & ~(1 << i) for i in range(4)], equalities=[(0, 1)],
         )
         ns = nullspace(cs)
         assert (ns.rank, ns.dimension) == (14, 2)

@@ -1,6 +1,7 @@
 """The library imports nothing outside the standard library and itself,
-parses as Python 3.10, carries no assert statements and no unused
-module-level definition; every function the benchmark traces exists."""
+graphs and oracle import nothing from each other, and the library parses as
+Python 3.10, carries no assert statements and no unused module-level
+definition; every function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -24,6 +25,41 @@ def imported_modules(tree: ast.AST) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module.split(".")[0])
     return names
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """Names of the ghznl modules imported, relative or absolute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts = [alias.name.split(".") for alias in node.names]
+            names.update(p[1] for p in parts if p[0] == "ghznl" and len(p) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level == 0 and module[0] != "ghznl":
+                continue
+            inner = module[1:] if node.level == 0 else [m for m in module if m]
+            names.update(inner[:1] or (alias.name for alias in node.names))
+    return names
+
+
+def test_package_imports_sees_every_import_form():
+    tree = ast.parse(
+        "import ghznl.cli\nfrom ghznl.arithmetic import x\nfrom ghznl import graphs\n"
+        "from .oracle import y\nfrom . import certifier\nimport json\n"
+        "from fractions import Fraction\n"
+    )
+    expected = {"cli", "arithmetic", "graphs", "oracle", "certifier"}
+    assert package_imports(tree) == expected
+
+
+@pytest.mark.parametrize("module, other", [("graphs", "oracle"), ("oracle", "graphs")])
+def test_graph_route_and_oracle_stay_independent(module, other):
+    """The two routes to a verdict check each other only while neither
+    reads the other's code, a shared union-find or row index included."""
+    path = Path(ghznl.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert other not in package_imports(tree)
 
 
 def test_sources_found():

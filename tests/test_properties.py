@@ -814,6 +814,63 @@ def mixed_sets(draw):
     return StateSet(S.dims, S.tuples + tuple(extra))
 
 
+@st.composite
+def one_shared_ket_sets(draw):
+    """Tuples that pairwise share at most one ket: two tuples of weights
+    2-4 through one common ket in dims 3-5, or a layered partition plus a
+    tuple of weight 2-4 whose kets come from distinct tuples of it."""
+    if draw(st.booleans()):
+        S = draw(layered_partitions())
+        w = draw(st.integers(2, min(4, len(S.tuples), *S.dims.as_tuple())))
+        donors = draw(
+            st.lists(
+                st.integers(0, len(S.tuples) - 1), min_size=w, max_size=w, unique=True
+            )
+        )
+        kets = tuple(draw(st.sampled_from(S.tuples[t].kets)) for t in donors)
+        return StateSet(S.dims, S.tuples + (GhzTuple(w, kets),))
+    dims = SystemDims(*(draw(st.integers(3, 5)) for _ in range(3)))
+    kets = st.builds(Ket, *(st.integers(0, d - 1) for d in dims.as_tuple()))
+    w, w2 = (draw(st.integers(2, min(4, *dims.as_tuple()))) for _ in range(2))
+    a = draw(st.lists(kets, min_size=w, max_size=w, unique=True))
+    b = draw(
+        st.lists(
+            kets.filter(lambda k: k not in a),
+            min_size=w2 - 1,
+            max_size=w2 - 1,
+            unique=True,
+        )
+    )
+    b.insert(draw(st.integers(0, w2 - 1)), draw(st.sampled_from(a)))
+    return StateSet(dims, (GhzTuple(w, tuple(a)), GhzTuple(w2, tuple(b))))
+
+
+@settings(**SETTINGS)
+@given(one_shared_ket_sets())
+def test_one_shared_ket_makes_every_state_pair_non_orthogonal(S):
+    """Two tuples with one ket in common: each of their w * w' overlaps is
+    a single root of unity, so by the test's own expansion no pair is
+    orthogonal, and check_mutual_orthogonality lists exactly those pairs."""
+    states = expand_set(S)
+    first = list(itertools.accumulate((t.weight for t in S.tuples), initial=0))
+    expected = []
+    for t, u in itertools.combinations(range(len(S.tuples)), 2):
+        a, b = S.tuples[t], S.tuples[u]
+        shared = set(a.kets) & set(b.kets)
+        assert len(shared) <= 1
+        if shared:
+            expected.extend(
+                (first[t] + n, first[u] + nu)
+                for n in range(a.weight)
+                for nu in range(b.weight)
+            )
+    assert expected
+    assert not any(states_orthogonal(states[x], states[y]) for x, y in expected)
+    assert check_mutual_orthogonality(S) == sorted(expected)
+    for p in Partition:
+        assert build_constraints(S, p).skipped_pairs == 2 * len(expected)
+
+
 @settings(**SETTINGS)
 @given(
     st.one_of(
@@ -821,6 +878,7 @@ def mixed_sets(draw):
         overlapping_sets(max_tuples=6),
         collapsed_sets(),
         mixed_sets(),
+        one_shared_ket_sets(),
     )
 )
 def test_constraint_build_matches_general_builder(S):
@@ -828,7 +886,10 @@ def test_constraint_build_matches_general_builder(S):
     builder's, in order."""
     for p in Partition:
         cs = build_constraints(S, p)
-        got = (cs.zeroed, cs.equalities, cs.pair_rows, cs.skipped_pairs)
+        # the reference names each diagonal unknown E[i, i] as i*(P+1)
+        P = cs.side
+        equalities = [(d0 * (P + 1), d * (P + 1)) for d0, d in cs.equalities]
+        got = (cs.zeroed, equalities, cs.pair_rows, cs.skipped_pairs)
         assert got == reference_build(S, p)
 
 
@@ -862,9 +923,7 @@ def scanned_free_column(cs, elim):
     unknown that is not zeroed, not a pivot and, if diagonal, the root of
     its class, with the off-diagonal ones first."""
     P = cs.side
-    classes, _ = union_find(
-        P, ((d0 // (P + 1), d // (P + 1)) for d0, d in cs.equalities)
-    )
+    classes, _ = union_find(P, cs.equalities)
     return min(
         (
             u
