@@ -25,7 +25,9 @@ every decision runs over F_p:
   keeps that unlikely, but such a verdict is not re-checked here.
 
 union_find counts the classes of integer indices joined by edges: the
-components of a partition graph, and the oracle's diagonal equalities.
+oracle's diagonal equalities, and the components of a built partition graph
+(graphs.connected_components).  The graph route's own count,
+graphs.component_counts, runs its union step inline and does not call it.
 SparseEliminator brings the oracle's remaining sparse rows of residues to
 row echelon form.
 """
@@ -114,8 +116,7 @@ def union_find(n: int, edges: Iterable[tuple[int, int]]) -> tuple[list[int], int
 
     Returns (root, count): root[i] is the smallest index of i's class and
     count is the number of classes.  n - count is the rank of the rows
-    x_u - x_v over any field, which is how both the graph route and the
-    oracle use it.
+    x_u - x_v over any field, which is how the oracle uses it.
     """
     root = list(range(n))
     count = n

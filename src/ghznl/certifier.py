@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .graphs import component_count
+from .graphs import component_counts
 from .oracle import NullspaceResult, ResourceGuardError, oracle_all
 from .state_model import (
     Partition,
@@ -112,11 +112,11 @@ def check_hypotheses(S: StateSet) -> HypothesisResults:
 
 
 def _analyze_partitions(S: StateSet) -> dict[Partition, PartitionAnalysis]:
-    """Component counts of each cut, counted from the kets by
-    `graphs.component_count`; no graph is built.  The path graph has the
-    same count as the full graph, so the report writes this one count for
-    both."""
-    return {p: PartitionAnalysis(p, component_count(S, p)) for p in Partition}
+    """Component counts of the three cuts, counted from the kets in one
+    walk by `graphs.component_counts`; no graph is built.  The path graph
+    has the same count as the full graph, so the report writes this one
+    count for both."""
+    return {p: PartitionAnalysis(p, n) for p, n in component_counts(S).items()}
 
 
 def certify_via_graphs(S: StateSet) -> CertReport:
@@ -129,7 +129,7 @@ def certify_via_graphs(S: StateSet) -> CertReport:
         notes.extend(f"hypothesis failed: {c}" for c in hyp.failed_checks())
         return CertReport(hyp, parts, None, Verdict.HYPOTHESES_VIOLATED,
                           Verdict.HYPOTHESES_VIOLATED, notes=notes)
-    theorem = 1 if all(t.weight == 2 for t in S.tuples) else 2
+    theorem = 1 if {t.weight for t in S.tuples} <= {2} else 2
     if all_connected:
         verdict = Verdict.STRONGEST_NONLOCAL
     elif theorem == 1:

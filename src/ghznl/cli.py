@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import constructions
 from .certifier import Verdict, certify, report_to_dict
-from .graphs import build_graph, build_path_graph, component_count, to_dot
+from .graphs import build_graph, build_path_graph, component_counts, to_dot
 from .oracle import (
     ResourceGuardError,
     build_constraints,
@@ -139,6 +139,7 @@ def cmd_graph(args) -> int:
     S, _ = _load_set(args)
     build = build_path_graph if args.path_subgraph else build_graph
     outputs = []
+    counts = component_counts(S)
     for p in _partitions(args.partition):
         G = build(S, p)
         dot = to_dot(G)
@@ -152,7 +153,7 @@ def cmd_graph(args) -> int:
             sys.stdout.write(dot)
         print(
             f"cut {p.value}: {len(G.vertices)} vertices, {len(G.edges)} edges, "
-            f"{'connected' if component_count(S, p) <= 1 else 'disconnected'}",
+            f"{'connected' if counts[p] <= 1 else 'disconnected'}",
             file=sys.stderr,
         )
     if outputs:

@@ -6,10 +6,12 @@ projected kets (or, for the path variant, only consecutive edges after
 sorting by first projected coordinate).  Connectivity of all three graphs is
 the certificate the certifier relies on.
 
-Every count runs arithmetic.union_find over integer indices:
-`component_count` straight from the kets (the certifier and `ghznl graph`
-build no graph for it), and `connected_components` over a built graph, which
-no library code calls; the tests check `component_count` against it.
+`component_counts` counts all three cuts' components straight from the
+kets, in one walk over the tuples with its own union step (the certifier and
+`ghznl graph` build no graph for it); it shares no kernel with the oracle,
+so their agreement compares two implementations.  `connected_components`
+runs arithmetic.union_find over a built graph; no library code calls it,
+and the tests check `component_counts` against it.
 """
 
 from __future__ import annotations
@@ -60,22 +62,50 @@ def build_path_graph(S: StateSet, p: Partition) -> PartitionGraph:
     return PartitionGraph(p, _vertices(S.dims, p), frozenset(edges), "path")
 
 
-def component_count(S: StateSet, p: Partition) -> int:
-    """Number of components of cut p's graph, counted from the kets.
+def component_counts(S: StateSet) -> dict[Partition, int]:
+    """Number of components of each cut's graph, from one walk over the kets.
 
-    The vertices are the kept indices a * db + b, so an index that no tuple
-    projects to is a component of its own; each tuple joins its first
-    projected ket to the rest.  The path graph has the same count: each
-    tuple links the same projections in it, as a path instead of a clique.
+    Cut p's vertices are the kept indices a * db + b, (a, b) in p.kept_axes
+    order: j*d3 + k on A, k*d1 + i on B and i*d2 + j on C; an index that no
+    tuple projects to is a component of its own.  On each cut's own root
+    list, each tuple joins its kets' indices to its first ket's root (path
+    halving), which stays a root, and each merge lowers that cut's count.
+    The path graph has the same counts: each tuple links the same
+    projections in it, as a path instead of a clique.
     """
-    da, db = p.kept_dims(S.dims)
-    a, b = p.kept_axes
-    edges = [
-        (t.kets[0][a] * db + t.kets[0][b], k[a] * db + k[b])
-        for t in S.tuples
-        for k in t.kets[1:]
-    ]
-    return union_find(da * db, edges)[1]
+    d1, d2, d3 = S.dims.as_tuple()
+    ra, rb, rc = list(range(d2 * d3)), list(range(d3 * d1)), list(range(d1 * d2))
+    na, nb, nc = len(ra), len(rb), len(rc)
+    for t in S.tuples:
+        kets = t.kets
+        i, j, k = kets[0]
+        a, b, c = j * d3 + k, k * d1 + i, i * d2 + j
+        while ra[a] != a:
+            ra[a] = a = ra[ra[a]]
+        while rb[b] != b:
+            rb[b] = b = rb[rb[b]]
+        while rc[c] != c:
+            rc[c] = c = rc[rc[c]]
+        for i, j, k in kets[1:]:
+            v = j * d3 + k
+            while ra[v] != v:
+                ra[v] = v = ra[ra[v]]
+            if v != a:
+                ra[v] = a
+                na -= 1
+            v = k * d1 + i
+            while rb[v] != v:
+                rb[v] = v = rb[rb[v]]
+            if v != b:
+                rb[v] = b
+                nb -= 1
+            v = i * d2 + j
+            while rc[v] != v:
+                rc[v] = v = rc[rc[v]]
+            if v != c:
+                rc[v] = c
+                nc -= 1
+    return {Partition.A: na, Partition.B: nb, Partition.C: nc}
 
 
 def connected_components(G: PartitionGraph) -> int:

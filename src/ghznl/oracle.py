@@ -54,7 +54,8 @@ is expanded.  State n of a weight-w tuple is sum_m omega_w^(m n) |k_m>,
 so the row of states (t, n), (u, n') has omega_L^(m' n' L/w_u -
 m n L/w_t) at E[q_m, q'_m'] for each ket pair (m, m') of t, u at one cut
 coordinate.  If t and u share exactly one ket, each such row's trace is
-one root of unity, so all w_t * w_u pairs are skipped and no row is built.
+one root of unity, so all w_t * w_u pairs are skipped and no row is built;
+the shared kets are counted from the two tuples before any meet is listed.
 
 Presolve.  The system keeps its unit rows as one bit mask per row of E
 (bit j of zeroed[i] is the row E[i, j] = 0), its difference rows as
@@ -66,7 +67,8 @@ would share t's ket.  A tuple without partners that is spread on the cut
 has one entry (t, i) at x, so its mask there is met[x], every kept index
 met at x, less bit i: build_constraints reads i off the ket, ORs met[x]
 into zeroed[i] and clears the diagonal bits once, at the end.  Only the
-other tuples, if any, get cut cells, a cut index and the roots.  nullspace
+other tuples, if any, get cut cells, the roots and a cut index over the
+cut coordinates their cells meet (x -> each tuple's mask at x).  nullspace
 adds the popcount of the masks to the rank and P less the number of
 classes of the equalities (arithmetic.union_find), drops the zeroed
 unknowns from the per-pair rows, maps each diagonal unknown to its class
@@ -217,41 +219,48 @@ def build_constraints(
     rows: list[dict[int, int]] = []
     skipped = 0
     if others:
-        # the cut index of every tuple's cells (cut coordinate, joint kept
-        # index), and the others' cells in ket order (a partner of one of
-        # the others is one of them too)
-        index: dict[int, list[tuple[int, int]]] = {}
-        for t, tup in enumerate(tuples):
-            for k in tup.kets:
-                index.setdefault(k[axis], []).append((t, k[ka] * db + k[kb]))
+        # the others' cells in ket order (a partner of one of the others is
+        # one of them too), and the cut index of the cut coordinates they
+        # meet: x -> {tuple: mask of its kept indices at x}
         cells = {t: [(k[axis], k[ka] * db + k[kb]) for k in tuples[t].kets]
                  for t, _ in others}
+        index: dict[int, dict[int, int]] = {
+            x: {} for c in cells.values() for x, _ in c
+        }
+        for t, tup in enumerate(tuples):
+            for k in tup.kets:
+                if (at := index.get(k[axis])) is not None:
+                    at[t] = at.get(t, 0) | 1 << k[ka] * db + k[kb]
+        ket_sets = {t: set(tuples[t].kets) for t, _ in others}
         roots = [pow(root, e, prime) for e in range(order)]
-        step = [order // tup.weight for tup in tuples]
         for t, spread in others:
             # the unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
             # coordinate, u not a partner of t
             tup, ts = tuples[t], partners[t]
             for x, i in cells[t]:
-                for u, j in index[x]:
-                    if u not in ts:
-                        zeroed[i] |= 1 << j
+                at = index[x]
+                for u in at.keys() - ts:
+                    zeroed[i] |= at[u]
             # per-pair rows of t's partners and, if t is not spread, its own
             # (see Per-pair rows): meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
             blocks = []
             for u in sorted(ts):
-                meets = [
-                    (i * P + j, m * step[t], mu * step[u])
+                if u == t:
+                    if spread:
+                        continue
+                elif len(ket_sets[t] & ket_sets[u]) == 1:
+                    # one shared ket (only u != t can have one; a tuple
+                    # shares all its w >= 2 kets with itself): every
+                    # overlap is a root of unity, skipped
+                    skipped += tup.weight * tuples[u].weight
+                    continue
+                st, su = order // tup.weight, order // tuples[u].weight
+                blocks.append((u, [
+                    (i * P + j, m * st, mu * su)
                     for m, (x, i) in enumerate(cells[t])
                     for mu, (y, j) in enumerate(cells[u])
                     if x == y
-                ]
-                # one shared ket (one diagonal meet; a tuple meets itself on
-                # all w >= 2 kets): every overlap is a root of unity, skipped
-                if sum(k % (P + 1) == 0 for k, _, _ in meets) == 1:
-                    skipped += tup.weight * tuples[u].weight
-                elif u != t or not spread:
-                    blocks.append((u, meets))
+                ]))
             for n in range(tup.weight):
                 for u, meets in blocks:
                     for nu in range(tuples[u].weight):

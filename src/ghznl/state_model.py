@@ -239,6 +239,10 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     shared ket that sum is a single root of unity, so all w * w' pairs of
     the two tuples are listed without it.
     """
+    # partners[t] holds t itself, so the sizes, summed in C, add up to the
+    # number of tuples exactly when no two tuples share a ket
+    if sum(map(len, S.partners)) == len(S.tuples):
+        return []
     pairs = [
         (t, u)
         for t, partners in enumerate(S.partners)
@@ -296,8 +300,13 @@ def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
 
 
 def check_special_set(S: StateSet) -> list[int]:
-    """Indices of tuples that are not coordinately different; empty = pass."""
-    return [i for i, cd in enumerate(S.coordinately_different) if not cd]
+    """Indices of tuples that are not coordinately different; empty = pass.
+    all() reads the cached flags in C, so a special set runs no Python
+    code per tuple."""
+    flags = S.coordinately_different
+    if all(flags):
+        return []
+    return [i for i, cd in enumerate(flags) if not cd]
 
 
 def check_genuine_entanglement(s: StateVector) -> bool:
@@ -342,13 +351,12 @@ def genuine_entanglement_census(S: StateSet) -> list[int]:
     are checked.
     """
     failures: list[int] = []
-    for t, tup in enumerate(S.tuples):
-        if not S.coordinately_different[t]:
-            failures.extend(
-                S.first[t] + n
-                for n, s in enumerate(expand_tuple(tup, S.dims))
-                if not check_genuine_entanglement(s)
-            )
+    for t in check_special_set(S):
+        failures.extend(
+            S.first[t] + n
+            for n, s in enumerate(expand_tuple(S.tuples[t], S.dims))
+            if not check_genuine_entanglement(s)
+        )
     return failures
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import ghznl
+import ghznl.cli
 from ghznl.certifier import (
     CertReport,
     Verdict,
@@ -305,6 +306,25 @@ class TestOnePreparationPass:
         # no two tuples share a ket and every tuple is coordinately
         # different, so no state is expanded at all
         assert expanded == []
+
+    def test_one_walk_counts_every_cut(self, monkeypatch, capsys):
+        # certify and `ghznl graph --partition all` each count the three
+        # cuts' components in a single component_counts call
+        walks = []
+        _spy(monkeypatch, ghznl.graphs.component_counts, walks)
+        S = c345()
+        r = certify(S, method="both")
+        assert walks == ["_analyze_partitions"]
+        assert {p: a.full_components for p, a in r.partitions.items()} == {
+            p: connected_components(build_graph(S, p)) for p in Partition
+        }
+        walks.clear()
+        code = ghznl.cli.main(
+            ["graph", "--construction", "c345", "--partition", "all"]
+        )
+        assert code == 0
+        assert walks == ["cmd_graph"]
+        assert capsys.readouterr().err.count("connected") == 3
 
     def test_oracle_expands_no_state(self, monkeypatch):
         # every oracle row is built from the tuples' kets: even4's

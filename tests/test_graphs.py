@@ -7,7 +7,7 @@ from ghznl.graphs import (
     PartitionGraph,
     build_graph,
     build_path_graph,
-    component_count,
+    component_counts,
     connected_components,
     to_dot,
 )
@@ -124,13 +124,13 @@ class TestComponentCount:
         ids=["c333", "c345", "even4", "c444w4", "odd5"],
     )
     def test_matches_built_graph(self, S):
-        for p in Partition:
-            assert component_count(S, p) == connected_components(build_graph(S, p))
+        assert component_counts(S) == {
+            p: connected_components(build_graph(S, p)) for p in Partition
+        }
 
     def test_ablated_even4_has_two_components(self):
         S = even_d(4).without_labels(["S4", "S5"])
-        for p in Partition:
-            assert component_count(S, p) == 2
+        assert component_counts(S) == dict.fromkeys(Partition, 2)
 
     def test_unmet_indices_are_isolated_components(self):
         # cut A keeps 4 x 4 indices; the two tuples join two pairs of them
@@ -139,7 +139,28 @@ class TestComponentCount:
             ((0, 0, 0), (1, 1, 1)),
             ((2, 2, 2), (3, 3, 3)),
         )
-        assert component_count(S, Partition.A) == 16 - 2
+        assert component_counts(S)[Partition.A] == 16 - 2
+
+    def test_unequal_dims_give_each_cut_its_own_count(self):
+        # 2x3x5: cut A keeps (j, k), 15 indices; B keeps (k, i), 10; C
+        # keeps (i, j), 6.  A joins 3 pairs; on B the second tuple's kets
+        # project to one index and the third joins the first's class, so
+        # 2 merges; C joins 3 pairs.  Every cut has indices that no ket
+        # meets, and a kept index formed with the wrong multiplier (j*d2 + k,
+        # k*d3 + i or i*d1 + j) merges other indices or leaves the cut.
+        S = StateSet(
+            SystemDims(2, 3, 5),
+            (
+                GhzTuple(2, (Ket(1, 0, 4), Ket(0, 2, 4))),
+                GhzTuple(2, (Ket(0, 0, 3), Ket(0, 1, 3))),
+                GhzTuple(2, (Ket(0, 1, 1), Ket(1, 2, 4))),
+            ),
+        )
+        expected = {Partition.A: 15 - 3, Partition.B: 10 - 2, Partition.C: 6 - 3}
+        assert component_counts(S) == expected
+        assert expected == {
+            p: connected_components(build_graph(S, p)) for p in Partition
+        }
 
 
 class TestIsConnected:

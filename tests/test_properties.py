@@ -12,7 +12,7 @@ from ghznl.certifier import certify, check_hypotheses
 from ghznl.graphs import (
     build_graph,
     build_path_graph,
-    component_count,
+    component_counts,
     connected_components,
 )
 from ghznl.oracle import build_constraints, nullspace, oracle_all
@@ -366,13 +366,6 @@ def bfs_component_count(S, p):
             frontier = [v for u in frontier for v in adj[u] if v not in seen]
             seen.update(frontier)
     return count
-
-
-@settings(**SETTINGS)
-@given(st.one_of(state_sets(max_tuples=4, weights=(2, 3, 4)), overlapping_sets()))
-def test_component_count_matches_breadth_first_search(S):
-    for p in Partition:
-        assert component_count(S, p) == bfs_component_count(S, p)
 
 
 @settings(**SETTINGS)
@@ -730,8 +723,9 @@ def test_theorem2_converse_dimension_equals_component_count(S):
     trivial-only property both ways, not only for weight 2."""
     assume(check_hypotheses(S).theorems_apply)
     results = oracle_all(S)
+    counts = component_counts(S)
     for p in Partition:
-        assert results[p].dimension == component_count(S, p)
+        assert results[p].dimension == counts[p]
 
 
 # --- the constraint build against the general per-entry builder ----------
@@ -869,6 +863,20 @@ def test_one_shared_ket_makes_every_state_pair_non_orthogonal(S):
     assert check_mutual_orthogonality(S) == sorted(expected)
     for p in Partition:
         assert build_constraints(S, p).skipped_pairs == 2 * len(expected)
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        state_sets(max_tuples=4, weights=(2, 3, 4)),
+        overlapping_sets(),
+        collapsed_sets(),
+        one_shared_ket_sets(),
+    )
+)
+def test_component_count_matches_breadth_first_search(S):
+    """The one walk's count on each of the three cuts is the BFS count."""
+    assert component_counts(S) == {p: bfs_component_count(S, p) for p in Partition}
 
 
 @settings(**SETTINGS)
