@@ -6,9 +6,10 @@ one-directional sufficient condition when higher weights are present.  The
 nullspace oracle decides the defining property directly, so when both run the
 oracle's verdict wins.
 
-The per-set facts every check and the oracle read (tuple offsets,
-ket-sharing partners, coordinately-different flags, the prime field) are
-cached properties of the StateSet, so one certify computes each of them once.
+The per-set facts every check and the oracle read (tuple offsets, each
+tuple's partners and the kets it shares with each, coordinately-different
+flags, the prime field) are cached properties of the StateSet, so one
+certify computes each of them once.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     and records agreement; 'oracle' does the same as 'both', since the graph
     route's hypotheses and partitions go into every report.  The oracle
     verdict takes precedence whenever it ran.  Every check and the oracle
-    read the set's cached facts (S.first, S.partners,
-    S.coordinately_different, S.field), so each is computed at most once
-    per set.
+    read the set's cached facts (S.first, S.partners, which holds the kets
+    each two tuples share, S.coordinately_different, S.field), so each is
+    computed at most once per set.  Each cut skips every non-orthogonal
+    ordered state pair, and the skip note counts them per cut.
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -164,10 +166,12 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
         # orthogonality violations are already reported in the hypotheses;
         # the oracle then constrains only the pairs that are orthogonal
         results = oracle_all(S, force=force)
-        skipped = sum(r.skipped_pairs for r in results.values())
-        if skipped:
+        skipped = {p.value: r.skipped_pairs for p, r in results.items()}
+        if total := sum(skipped.values()):
+            per_cut = ", ".join(f"{c} {n}" for c, n in skipped.items())
             report.notes.append(
-                f"oracle skipped {skipped} non-orthogonal ordered state pairs"
+                f"oracle skipped {total} non-orthogonal ordered state pairs "
+                f"(per cut: {per_cut})"
             )
     except ResourceGuardError as e:
         report.notes.append(f"oracle refused: {e}")

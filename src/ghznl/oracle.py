@@ -55,7 +55,7 @@ so the row of states (t, n), (u, n') has omega_L^(m' n' L/w_u -
 m n L/w_t) at E[q_m, q'_m'] for each ket pair (m, m') of t, u at one cut
 coordinate.  If t and u share exactly one ket, each such row's trace is
 one root of unity, so all w_t * w_u pairs are skipped and no row is built;
-the shared kets are counted from the two tuples before any meet is listed.
+the shared kets are read from S.partners before any meet is listed.
 
 Presolve.  The system keeps its unit rows as one bit mask per row of E
 (bit j of zeroed[i] is the row E[i, j] = 0), its difference rows as
@@ -173,12 +173,14 @@ def build_constraints(
     non-orthogonal pair carries no orthogonality to preserve, so its row is
     dropped and counted in skipped_pairs; the pair is found from that row's
     trace (its overlap), or, for two tuples that share exactly one ket,
-    without a row.  The even-d family at d = 4 has such pairs: its published
-    kets collide and break orthogonality.  Systems above
+    without a row.  The even-d family at d = 4 has such pairs: its
+    published kets collide and break orthogonality.  Systems above
     RESOURCE_GUARD_UNKNOWNS unknowns are refused unless force is set.
     Spread tuples without partners OR met[x] into their masks; only the
-    others get cut cells and a cut index (see Presolve).  S.partners,
-    S.coordinately_different and S.field are cached on the set.
+    others get cut cells and a cut index (see Presolve).  S.partners (each
+    partner u of t mapped to the kets t and u share, read for the
+    one-shared-ket test), S.coordinately_different and S.field are cached
+    on the set.
     """
     da, db = p.kept_dims(S.dims)
     n_unknowns = (da * db) ** 2
@@ -231,7 +233,6 @@ def build_constraints(
             for k in tup.kets:
                 if (at := index.get(k[axis])) is not None:
                     at[t] = at.get(t, 0) | 1 << k[ka] * db + k[kb]
-        ket_sets = {t: set(tuples[t].kets) for t, _ in others}
         roots = [pow(root, e, prime) for e in range(order)]
         for t, spread in others:
             # the unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
@@ -245,12 +246,10 @@ def build_constraints(
             # (see Per-pair rows): meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
             blocks = []
             for u in sorted(ts):
-                if u == t:
-                    if spread:
-                        continue
-                elif len(ket_sets[t] & ket_sets[u]) == 1:
-                    # one shared ket (only u != t can have one; a tuple
-                    # shares all its w >= 2 kets with itself): every
+                if u == t and spread:
+                    continue
+                if len(ts[u]) == 1:
+                    # one shared ket (t maps to its own w >= 2 kets): every
                     # overlap is a root of unity, skipped
                     skipped += tup.weight * tuples[u].weight
                     continue

@@ -10,9 +10,10 @@ Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.  What the validators, the
 certifier and the oracle all read about a set (each tuple's first state
-index, its ket-sharing partners, its coordinately-different flag, the
-set's field) is a cached property of the immutable StateSet, computed on
-first read.
+index, its ket-sharing partners with the kets it shares with each, its
+coordinately-different flag, the set's field) is a cached property of the
+immutable StateSet, computed on first read.  Only StateSet.partners works
+out which kets two tuples share.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .arithmetic import norm_bound, prime_field
 
@@ -147,18 +149,23 @@ class StateSet:
         return tuple(itertools.accumulate(weights, initial=0))[:-1]
 
     @cached_property
-    def partners(self) -> tuple[frozenset[int], ...]:
-        """partners[t]: t itself and every tuple that shares a ket with t."""
+    def partners(self) -> tuple[Mapping[int, frozenset[Ket]], ...]:
+        """partners[t]: a read-only map from each tuple u that shares a ket
+        with t to the kets t and u share; t maps to all of its own kets."""
         holders: dict[Ket, list[int]] = {}
         for t, tup in enumerate(self.tuples):
             for ket in tup.kets:
                 holders.setdefault(ket, []).append(t)
-        partners = [{t} for t in range(len(self.tuples))]
-        for ts in holders.values():
+        partners = [{t: frozenset(tup.kets)} for t, tup in enumerate(self.tuples)]
+        for ket, ts in holders.items():
             if len(ts) > 1:
+                one = frozenset((ket,))
                 for t in ts:
-                    partners[t].update(ts)
-        return tuple(map(frozenset, partners))
+                    shared = partners[t]
+                    for u in ts:
+                        if u != t:
+                            shared[u] = shared[u] | one if u in shared else one
+        return tuple(map(MappingProxyType, partners))
 
     @cached_property
     def coordinately_different(self) -> tuple[bool, ...]:
@@ -177,15 +184,6 @@ class StateSet:
         )
         order = math.lcm(*weights)
         return (order, *prime_field(order, bound))
-
-    def without_labels(self, prefixes: Sequence[str]) -> "StateSet":
-        """Drop every tuple whose label starts with one of the prefixes."""
-        kept = tuple(
-            t
-            for t in self.tuples
-            if t.label is None or not any(t.label.startswith(p) for p in prefixes)
-        )
-        return StateSet(self.dims, kept)
 
 
 @dataclass(frozen=True)
@@ -226,52 +224,48 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     """Indices (in expansion order) of non-orthogonal state pairs; empty = pass.
 
     Only pairs of distinct tuples that share a ket are tested, from the
-    kets, in the set's field S.field; no state is expanded.  States with
-    no ket in common have overlap 0, and every state of a tuple is
-    supported on all its kets.  Two states n != n' of one tuple need no
-    test: the kets of a GhzTuple are distinct, so their overlap is
-    sum_m omega^(m (n' - n)) / w = 0, the product of two distinct rows of
-    the Fourier matrix.  State n of a weight-w tuple is
-    sum_m omega_w^(m n) |k_m> / sqrt(w), so the unscaled overlap of (t, n)
-    and (u, n') is the sum of omega_L^(mu n' L/w_u - m n L/w_t) over the
-    shared kets k_m = k'_mu: the oracle's per-pair coefficient, and p
-    exceeds every such sum's norm bound, so the test is exact.  With one
-    shared ket that sum is a single root of unity, so all w * w' pairs of
-    the two tuples are listed without it.
+    kets they share (read from S.partners), in the set's field S.field;
+    no state is expanded.  States with no ket in common have overlap 0,
+    and every state of a tuple is supported on all its kets.  Two states
+    n != n' of one tuple need no test: the kets of a GhzTuple are
+    distinct, so their overlap is sum_m omega^(m (n' - n)) / w = 0, the
+    product of two distinct rows of the Fourier matrix.  State n of a
+    weight-w tuple is sum_m omega_w^(m n) |k_m> / sqrt(w), so the
+    unscaled overlap of (t, n) and (u, n') is the sum of
+    omega_L^(mu n' L/w_u - m n L/w_t) over the shared kets k_m = k'_mu:
+    the oracle's per-pair coefficient, and p exceeds every such sum's norm
+    bound, so the test is exact.  With one shared ket that sum is a single
+    root of unity, so all w * w' pairs of the two tuples are listed
+    without it.
     """
-    # partners[t] holds t itself, so the sizes, summed in C, add up to the
+    # partners[t] maps t itself, so the sizes, summed in C, add up to the
     # number of tuples exactly when no two tuples share a ket
     if sum(map(len, S.partners)) == len(S.tuples):
-        return []
-    pairs = [
-        (t, u)
-        for t, partners in enumerate(S.partners)
-        if len(partners) > 1
-        for u in sorted(partners)
-        if u > t
-    ]
-    if not pairs:
         return []
     order, prime, root = S.field
     roots = [pow(root, e, prime) for e in range(order)]
     tuples, first = S.tuples, S.first
     violations = []
-    for t, u in pairs:
-        a, b = tuples[t], tuples[u]
-        position = {ket: mu for mu, ket in enumerate(b.kets)}
-        # (m L/w_t, mu L/w_u) for each shared ket k_m = k'_mu
-        shared = [
-            (m * (order // a.weight), position[ket] * (order // b.weight))
-            for m, ket in enumerate(a.kets)
-            if ket in position
-        ]
-        violations.extend(
-            (first[t] + n, first[u] + nu)
-            for n in range(a.weight)
-            for nu in range(b.weight)
-            if len(shared) == 1
-            or sum(roots[(mu * nu - m * n) % order] for m, mu in shared) % prime
-        )
+    for t, partners in enumerate(S.partners):
+        a = tuples[t]
+        for u, kets in partners.items():
+            if u <= t:
+                continue
+            b = tuples[u]
+            # (m L/w_t, mu L/w_u) for each shared ket k_m = k'_mu, needed
+            # only when two or more kets are shared
+            shared = len(kets) > 1 and [
+                (a.kets.index(k) * (order // a.weight),
+                 b.kets.index(k) * (order // b.weight))
+                for k in kets
+            ]
+            violations.extend(
+                (first[t] + n, first[u] + nu)
+                for n in range(a.weight)
+                for nu in range(b.weight)
+                if not shared
+                or sum(roots[(mu * nu - m * n) % order] for m, mu in shared) % prime
+            )
     return sorted(violations)
 
 

@@ -23,6 +23,7 @@ from ghznl.state_model import (
 )
 
 import test_properties
+from test_constructions import without_labels
 
 
 @contextmanager
@@ -103,7 +104,7 @@ def test_criterion_4_equivalence_and_ablation():
         # the two-parity-component structure exists only in the even family:
         # removing its diagonal pairs S4/S5 splits every cut graph into
         # exactly 2 components and opens a >=2-dimensional solution space
-        ablated = even_d(4).without_labels(["S4", "S5"])
+        ablated = without_labels(even_d(4), ["S4", "S5"])
         for p in Partition:
             assert connected_components(build_graph(ablated, p)) == 2
         results = oracle_all(ablated)
@@ -112,7 +113,7 @@ def test_criterion_4_equivalence_and_ablation():
         # the odd family keeps dimension 1 without its diagonal pair: the
         # three ring blocks alone already connect every cut graph
         for S in (c333(), c345(), odd_d(5)):
-            pruned = S.without_labels(["S4"])
+            pruned = without_labels(S, ["S4"])
             for p in Partition:
                 assert connected_components(build_graph(pruned, p)) <= 1
             assert all(

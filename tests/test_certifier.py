@@ -25,6 +25,7 @@ from ghznl.state_model import (
     SystemDims,
     check_mutual_orthogonality,
 )
+from test_constructions import without_labels
 
 D2 = SystemDims(2, 2, 2)
 
@@ -93,7 +94,7 @@ class TestCertifyViaGraphs:
     def test_disconnected_high_weight_inconclusive(self):
         # a single weight-4 tuple alone is not plane-containing, so restrict
         # to connectivity by providing a plane-containing but split set
-        S = c444_weight4().without_labels(["B1"])
+        S = without_labels(c444_weight4(), ["B1"])
         r = certify_via_graphs(S)
         # removing one block breaks the plane hypothesis or connectivity;
         # either way the sufficient criterion must not report a positive
@@ -148,11 +149,15 @@ class TestCertify:
         assert r.graph_verdict is Verdict.HYPOTHESES_VIOLATED
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert all(v.dimension == 1 for v in r.oracle.values())
-        assert any("skipped 48" in n for n in r.notes)
+        # its 16 non-orthogonal ordered pairs are skipped once on each cut
+        assert (
+            "oracle skipped 48 non-orthogonal ordered state pairs "
+            "(per cut: A 16, B 16, C 16)"
+        ) in r.notes
         assert r.agreement is None
 
     def test_ablated_even4_negative(self):
-        S = even_d(4).without_labels(["S4", "S5"])
+        S = without_labels(even_d(4), ["S4", "S5"])
         r = certify(S, method="both")
         # without the diagonal pairs the set loses the plane hypothesis,
         # every cut graph splits into two parity components, and the oracle
@@ -224,8 +229,8 @@ class TestReportsPinned:
         ("odd5", "both"): "5f5b91240e8fc18089ea7ca6571afdd116d11abca046ffde026b16c8d4a8e65b",
         ("odd7", "graph"): "1414cc80b87bdc97b6e2f190643cc2aaf6b6cbc55552b6d1c2658abf2babd415",
         ("odd7", "both"): "f372abefc040b96b8fe3f1c3fac1f242aad9bdb783c5b483a78149cb89c286e0",
-        ("even4", "graph"): "e30551660e3116a55db3bbcb8956ac9b6b9dba59b7d85f5ba32381b1909abd10",
-        ("even4", "both"): "e30551660e3116a55db3bbcb8956ac9b6b9dba59b7d85f5ba32381b1909abd10",
+        ("even4", "graph"): "ff819574d7b653c8947236fc32591f39259f1bc0801c85d1fe9ff49c56d76af6",
+        ("even4", "both"): "ff819574d7b653c8947236fc32591f39259f1bc0801c85d1fe9ff49c56d76af6",
         ("even6", "graph"): "1414cc80b87bdc97b6e2f190643cc2aaf6b6cbc55552b6d1c2658abf2babd415",
         ("even6", "both"): "95187623703e1eef735ccc5a134a51bdd2b851562b37569b885763054a6849f9",
         ("even4-ablated", "graph"): "d6f19a1ef21c4343bf010d85af6d740b884805ebe3cf236cbfe1bfd50eea99bc",
@@ -237,7 +242,7 @@ class TestReportsPinned:
         "c333": c333, "c345": c345, "c444w4": c444_weight4,
         "odd5": lambda: odd_d(5), "odd7": lambda: odd_d(7),
         "even4": lambda: even_d(4), "even6": lambda: even_d(6),
-        "even4-ablated": lambda: even_d(4).without_labels(["S4", "S5"]),
+        "even4-ablated": lambda: without_labels(even_d(4), ["S4", "S5"]),
         "pair222": lambda: PAIR222,
     }
 
@@ -353,7 +358,7 @@ class TestOnePreparationPass:
         ]
 
     @pytest.mark.parametrize(
-        "S", [PAIR222, c333(), even_d(4), even_d(4).without_labels(["S4", "S5"])],
+        "S", [PAIR222, c333(), even_d(4), without_labels(even_d(4), ["S4", "S5"])],
         ids=["pair222", "c333", "even4", "even4-ablated"],
     )
     def test_cached_facts_leave_the_set_and_its_report_unchanged(self, S):

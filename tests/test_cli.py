@@ -13,6 +13,7 @@ from ghznl.cli import (
 )
 from ghznl.constructions import even_d
 from ghznl.state_model import parse_state_set, write_state_set
+from test_constructions import without_labels
 
 
 def run(capsys, *argv):
@@ -78,7 +79,7 @@ class TestCertify:
         assert json.loads(report.read_text())["verdict"] == "StrongestNonlocal"
 
     def test_ablated_even4_oracle_negative(self, tmp_path, capsys):
-        S = even_d(4).without_labels(["S4", "S5"])
+        S = without_labels(even_d(4), ["S4", "S5"])
         doc = tmp_path / "ablated.json"
         doc.write_text(write_state_set(S))
         code, out, _ = run(
@@ -192,7 +193,7 @@ class TestGraph:
         # even4 without S4 and S5 splits into two parity components per cut
         if name == "even4-ablated":
             doc = tmp_path / "ablated.json"
-            S = even_d(4).without_labels(["S4", "S5"])
+            S = without_labels(even_d(4), ["S4", "S5"])
             doc.write_text(write_state_set(S))
             source = ["--input", str(doc)]
         else:

@@ -5,6 +5,7 @@ import pytest
 from ghznl.constructions import build, c333, c345, c444_weight4, even_d, odd_d
 from ghznl.state_model import (
     Ket,
+    StateSet,
     check_mutual_orthogonality,
     check_plane_containing,
     check_special_set,
@@ -15,6 +16,16 @@ from ghznl.state_model import (
 
 def kets_of(S):
     return {frozenset(tuple(k) for k in t.kets) for t in S.tuples}
+
+
+def without_labels(S, prefixes):
+    """S without every tuple whose label starts with one of the prefixes."""
+    kept = tuple(
+        t
+        for t in S.tuples
+        if t.label is None or not any(t.label.startswith(p) for p in prefixes)
+    )
+    return StateSet(S.dims, kept)
 
 
 class TestC333:

@@ -12,6 +12,7 @@ from ghznl.graphs import (
     to_dot,
 )
 from ghznl.state_model import GhzTuple, Ket, Partition, StateSet, SystemDims
+from test_constructions import without_labels
 
 D3 = SystemDims(3, 3, 3)
 
@@ -106,7 +107,7 @@ class TestComponents:
         assert connected_components(G) == 9
 
     def test_ablated_even4_has_two_parity_components(self):
-        S = even_d(4).without_labels(["S4", "S5"])
+        S = without_labels(even_d(4), ["S4", "S5"])
         for p in Partition:
             G = build_graph(S, p)
             assert connected_components(G) == 2
@@ -129,7 +130,7 @@ class TestComponentCount:
         }
 
     def test_ablated_even4_has_two_components(self):
-        S = even_d(4).without_labels(["S4", "S5"])
+        S = without_labels(even_d(4), ["S4", "S5"])
         assert component_counts(S) == dict.fromkeys(Partition, 2)
 
     def test_unmet_indices_are_isolated_components(self):

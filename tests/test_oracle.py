@@ -15,6 +15,7 @@ from ghznl.oracle import (
     oracle_verdict,
 )
 from ghznl.state_model import GhzTuple, Ket, Partition, StateSet, SystemDims
+from test_constructions import without_labels
 
 D2 = SystemDims(2, 2, 2)
 D3 = SystemDims(3, 3, 3)
@@ -222,7 +223,7 @@ class TestNullspace:
     def test_ablated_even4_witness_is_a_diagonal_component(self):
         # without its diagonal pairs S4/S5 the even family's diagonal splits
         # into two classes; the witness is the indicator of one of them
-        S = even_d(4).without_labels(["S4", "S5"])
+        S = without_labels(even_d(4), ["S4", "S5"])
         for p in Partition:
             cs = build_constraints(S, p)
             vec = nullspace(cs).witness

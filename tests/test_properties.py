@@ -119,23 +119,15 @@ def collapsed_sets(draw, max_tuples=3):
 
 
 def reference_partners(S):
-    """partners[t] by brute force: every tuple whose kets meet t's, t
-    itself included."""
+    """partners[t] by brute force: each tuple u whose kets meet t's, t
+    itself included, mapped to the kets t and u share."""
     return [
-        {u for u, other in enumerate(S.tuples) if set(tup.kets) & set(other.kets)}
+        {
+            u: shared
+            for u, other in enumerate(S.tuples)
+            if (shared := set(tup.kets) & set(other.kets))
+        }
         for tup in S.tuples
-    ]
-
-
-@settings(**SETTINGS)
-@given(st.one_of(state_sets(), overlapping_sets(max_tuples=4), collapsed_sets()))
-def test_cached_set_facts_match_brute_force(S):
-    weights = [t.weight for t in S.tuples]
-    assert list(S.first) == [sum(weights[:t]) for t in range(len(weights))]
-    assert list(S.partners) == reference_partners(S)
-    assert list(S.coordinately_different) == [
-        all(len({k[axis] for k in t.kets}) == t.weight for axis in range(3))
-        for t in S.tuples
     ]
 
 
@@ -837,6 +829,26 @@ def one_shared_ket_sets(draw):
     )
     b.insert(draw(st.integers(0, w2 - 1)), draw(st.sampled_from(a)))
     return StateSet(dims, (GhzTuple(w, tuple(a)), GhzTuple(w2, tuple(b))))
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        state_sets(),
+        overlapping_sets(max_tuples=4),
+        collapsed_sets(),
+        one_shared_ket_sets(),
+        mixed_sets(),
+    )
+)
+def test_cached_set_facts_match_brute_force(S):
+    weights = [t.weight for t in S.tuples]
+    assert list(S.first) == [sum(weights[:t]) for t in range(len(weights))]
+    assert list(S.partners) == reference_partners(S)
+    assert list(S.coordinately_different) == [
+        all(len({k[axis] for k in t.kets}) == t.weight for axis in range(3))
+        for t in S.tuples
+    ]
 
 
 @settings(**SETTINGS)

@@ -107,6 +107,27 @@ class TestInnerProduct:
         assert not states_orthogonal(plus, plus)
 
 
+class TestPartners:
+    # two weight-3 tuples through (0, 0, 0) and (1, 1, 1), and a third
+    # that meets neither
+    A = (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2))
+    B = (Ket(1, 1, 1), Ket(2, 0, 1), Ket(0, 0, 0))
+    C = (Ket(0, 1, 2), Ket(1, 2, 0), Ket(2, 1, 0))
+    S = StateSet(D3, (GhzTuple(3, A), GhzTuple(3, B), GhzTuple(3, C)))
+
+    def test_shared_kets_by_value(self):
+        shared = frozenset({Ket(0, 0, 0), Ket(1, 1, 1)})
+        assert self.S.partners == (
+            {0: frozenset(self.A), 1: shared},
+            {0: shared, 1: frozenset(self.B)},
+            {2: frozenset(self.C)},
+        )
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            self.S.partners[0][2] = frozenset()
+
+
 class TestMutualOrthogonality:
     def test_c333_passes(self):
         assert check_mutual_orthogonality(c333()) == []
