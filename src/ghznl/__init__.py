@@ -14,6 +14,7 @@ from .oracle import (
     NullspaceResult,
     ResourceGuardError,
     build_constraints,
+    build_systems,
     nullspace,
     oracle_all,
     oracle_verdict,

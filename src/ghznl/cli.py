@@ -20,12 +20,7 @@ from typing import Optional
 from . import constructions
 from .certifier import Verdict, certify, report_to_dict
 from .graphs import build_graph, build_path_graph, component_counts, to_dot
-from .oracle import (
-    ResourceGuardError,
-    build_constraints,
-    dump_system,
-    nullspace,
-)
+from .oracle import ResourceGuardError, build_systems, dump_system, nullspace
 from .state_model import (
     Partition,
     StateSet,
@@ -163,24 +158,25 @@ def cmd_graph(args) -> int:
 
 def cmd_oracle(args) -> int:
     S, _ = _load_set(args)
-    all_trivial = True
     try:
-        for p in _partitions(args.partition):
-            cs = build_constraints(S, p, force=args.force)
-            if args.dump_system is not None:
-                path = Path(f"{args.dump_system}_{p.value}.txt")
-                path.write_text(dump_system(cs), encoding="utf-8")
-                print(f"wrote {path}", file=sys.stderr)
-            ns = nullspace(cs)
-            verdict = "trivial-only" if ns.trivial_only else "nontrivial-exists"
-            print(
-                f"cut {p.value}: dim={ns.dimension} {verdict} "
-                f"identity={'yes' if ns.contains_identity else 'no'} mode=modular"
-            )
-            all_trivial = all_trivial and ns.trivial_only
+        systems = build_systems(S, force=args.force)
     except ResourceGuardError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    all_trivial = True
+    for p in _partitions(args.partition):
+        cs = systems[p]
+        if args.dump_system is not None:
+            path = Path(f"{args.dump_system}_{p.value}.txt")
+            path.write_text(dump_system(cs), encoding="utf-8")
+            print(f"wrote {path}", file=sys.stderr)
+        ns = nullspace(cs)
+        verdict = "trivial-only" if ns.trivial_only else "nontrivial-exists"
+        print(
+            f"cut {p.value}: dim={ns.dimension} {verdict} "
+            f"identity={'yes' if ns.contains_identity else 'no'} mode=modular"
+        )
+        all_trivial = all_trivial and ns.trivial_only
     return EXIT_STRONGEST if all_trivial else EXIT_NOT_STRONGEST
 
 

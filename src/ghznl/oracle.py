@@ -30,7 +30,7 @@ f_{m, m'} is the unit functional E[proj k_m, proj k'_m'] when cut(k_m) =
 cut(k'_m') and 0 otherwise.  The block's rows are therefore the image of
 the f_{m, m'} under conj(F_w) (x) F_w'.  det(F_w)^2 = +/- w^w, and p > w,
 so that map is invertible mod p and the block spans exactly the unit rows
-f_{m, m'} over F_p, not only over C.  build_constraints emits those unit
+f_{m, m'} over F_p, not only over C.  build_systems emits those unit
 rows instead of the block, and every rank, dimension and identity test is
 unchanged.  This is a row-space identity, independent of the graph
 theorems.  Tuple pairs sharing a ket (where some pairs may be skipped)
@@ -45,7 +45,7 @@ of F_w, mapped by e_m -> E[q_m, q_m].  Each such row sums to 0, and F_w is
 invertible mod p (p > w), so over F_p its w - 1 distinct rows span the
 whole sum-zero hyperplane, whose image is spanned by the w - 1 difference
 rows E[q_0, q_0] - E[q_m, q_m] (the zero row when q_m = q_0, dropped).
-build_constraints emits those rows straight from the kets; the own pairs
+build_systems emits those rows straight from the kets; the own pairs
 of a tuple that is not spread keep one row per state pair.  A same-tuple
 pair is always orthogonal, so none is ever skipped.
 
@@ -55,7 +55,9 @@ so the row of states (t, n), (u, n') has omega_L^(m' n' L/w_u -
 m n L/w_t) at E[q_m, q'_m'] for each ket pair (m, m') of t, u at one cut
 coordinate.  If t and u share exactly one ket, each such row's trace is
 one root of unity, so all w_t * w_u pairs are skipped and no row is built;
-the shared kets are read from S.partners before any meet is listed.
+each tuple's partners are split, once per set, into these and the ones
+that share two or more kets (read from S.partners) before any meet is
+listed.
 
 Presolve.  The system keeps its unit rows as one bit mask per row of E
 (bit j of zeroed[i] is the row E[i, j] = 0), its difference rows as
@@ -65,10 +67,16 @@ cut coordinate x gets bit j of zeroed[i] for every entry (u, j) at x with
 u not a partner of t.  Never j = i: x and i name one ket, so (u, i) at x
 would share t's ket.  A tuple without partners that is spread on the cut
 has one entry (t, i) at x, so its mask there is met[x], every kept index
-met at x, less bit i: build_constraints reads i off the ket, ORs met[x]
-into zeroed[i] and clears the diagonal bits once, at the end.  Only the
-other tuples, if any, get cut cells, the roots and a cut index over the
-cut coordinates their cells meet (x -> each tuple's mask at x).  nullspace
+met at x, less bit i.  build_systems first checks the unknowns guard on
+cuts A, B and C, so a refusal builds nothing.  It then unpacks each ket
+(i, j, k) once to fill met on all three cuts (kept index j*d3 + k at i on
+A, k*d1 + i at j on B, i*d2 + j at k on C, in Partition.kept_axes order),
+and walks the tuples once: each spread tuple appends its equalities, and
+each one without partners reads i off the ket and ORs met[x] into
+zeroed[i] on every cut where it is spread; the diagonal bits are cleared
+once, at the end.  Only the other tuples, if any, get cut cells and a cut
+index over the cut coordinates their cells meet (x -> each tuple's mask
+at x), per cut, and the roots, once.  nullspace
 adds the popcount of the masks to the rank and P less the number of
 classes of the equalities (arithmetic.union_find), drops the zeroed
 unknowns from the per-pair rows, maps each diagonal unknown to its class
@@ -156,10 +164,10 @@ class ConstraintSystem:
         return self.side * self.side
 
 
-def build_constraints(
-    S: StateSet, p: Partition, force: bool = False
-) -> ConstraintSystem:
-    """The orthogonality-preservation rows of S on cut p, block-reduced.
+def build_systems(
+    S: StateSet, force: bool = False
+) -> dict[Partition, ConstraintSystem]:
+    """The orthogonality-preservation rows of S on every cut, block-reduced.
 
     Distinct tuples T, U that share no ket contribute the unit rows
     E[proj k, proj k'] = 0, one per k in T, k' in U with cut(k) = cut(k'),
@@ -174,109 +182,165 @@ def build_constraints(
     dropped and counted in skipped_pairs; the pair is found from that row's
     trace (its overlap), or, for two tuples that share exactly one ket,
     without a row.  The even-d family at d = 4 has such pairs: its
-    published kets collide and break orthogonality.  Systems above
-    RESOURCE_GUARD_UNKNOWNS unknowns are refused unless force is set.
-    Spread tuples without partners OR met[x] into their masks; only the
-    others get cut cells and a cut index (see Presolve).  S.partners (each
-    partner u of t mapped to the kets t and u share, read for the
-    one-shared-ket test), S.coordinately_different and S.field are cached
-    on the set.
+    published kets collide and break orthogonality.
+
+    Unless force is set, the first of cuts A, B, C with more than
+    RESOURCE_GUARD_UNKNOWNS unknowns is refused before any list is built.
+    All three cuts then come from one walk over the kets and one over the
+    tuples (see Presolve); S.partners, S.coordinately_different and
+    S.field are cached on the set.
     """
-    da, db = p.kept_dims(S.dims)
-    n_unknowns = (da * db) ** 2
-    if n_unknowns > RESOURCE_GUARD_UNKNOWNS and not force:
-        raise ResourceGuardError(
-            f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
-            f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
-        )
+    for p in Partition:
+        da, db = p.kept_dims(S.dims)
+        n_unknowns = (da * db) ** 2
+        if n_unknowns > RESOURCE_GUARD_UNKNOWNS and not force:
+            raise ResourceGuardError(
+                f"{n_unknowns} unknowns on cut {p.value} exceeds the guard of "
+                f"{RESOURCE_GUARD_UNKNOWNS}; pass force/--force to proceed"
+            )
+    dims = S.dims.as_tuple()
+    d1, d2, d3 = dims
     order, prime, root = S.field
-    P = da * db
-    axis = p.cut_axis
-    ka, kb = p.kept_axes
     tuples, partners, cd = S.tuples, S.partners, S.coordinately_different
-    # the mask of kept indices met at each (bounds-checked) cut coordinate
-    met = [0] * S.dims.as_tuple()[axis]
+    # the mask of kept indices met at each (bounds-checked) cut coordinate:
+    # j*d3 + k at i on A, k*d1 + i at j on B, i*d2 + j at k on C
+    ma, mb, mc = [0] * d1, [0] * d2, [0] * d3
     for tup in tuples:
-        for k in tup.kets:
-            met[k[axis]] |= 1 << k[ka] * db + k[kb]
+        for i, j, k in tup.kets:
+            ma[i] |= 1 << j * d3 + k
+            mb[j] |= 1 << k * d1 + i
+            mc[k] |= 1 << i * d2 + j
     # a spread tuple gives its equalities, and one without partners ORs
     # met[x] into its masks, bit i cleared below (see Presolve)
-    zeroed = [0] * P
-    equalities: list[tuple[int, int]] = []
-    others: list[tuple[int, bool]] = []
+    za, zb, zc = [0] * (d2 * d3), [0] * (d3 * d1), [0] * (d1 * d2)
+    ea, eb, ec = [], [], []
+    cuts = [  # (axis, ka, kb, db, met, zeroed, equalities, others)
+        (p.cut_axis, *p.kept_axes, dims[p.kept_axes[1]], *lists, [])
+        for p, *lists in zip(Partition, (ma, mb, mc), (za, zb, zc), (ea, eb, ec))
+    ]
     for t, tup in enumerate(tuples):
         kets = tup.kets
-        spread = cd[t] or len({k[axis] for k in kets}) == len(kets)
-        lone = spread and len(partners[t]) == 1
-        if spread:
-            i0 = kets[0][ka] * db + kets[0][kb]
-            for k in kets:
-                i = k[ka] * db + k[kb]
-                if i != i0:
-                    equalities.append((i0, i))
-                if lone:
-                    zeroed[i] |= met[k[axis]]
-        if not lone:
-            others.append((t, spread))
+        if cd[t] and len(partners[t]) == 1:
+            # spread on every cut, with kept indices distinct from the first
+            i, j, k = kets[0]
+            a0, b0, c0 = j * d3 + k, k * d1 + i, i * d2 + j
+            za[a0] |= ma[i]
+            zb[b0] |= mb[j]
+            zc[c0] |= mc[k]
+            for i, j, k in kets[1:]:
+                a, b, c = j * d3 + k, k * d1 + i, i * d2 + j
+                za[a] |= ma[i]
+                zb[b] |= mb[j]
+                zc[c] |= mc[k]
+                ea.append((a0, a))
+                eb.append((b0, b))
+                ec.append((c0, c))
+            continue
+        lone = len(partners[t]) == 1
+        for axis, ka, kb, db, met, zeroed, eq, others in cuts:
+            spread = cd[t] or len({k[axis] for k in kets}) == len(kets)
+            if spread:
+                i0 = kets[0][ka] * db + kets[0][kb]
+                for k in kets:
+                    i = k[ka] * db + k[kb]
+                    if i != i0:
+                        eq.append((i0, i))
+                    if lone:
+                        zeroed[i] |= met[k[axis]]
+            if not (spread and lone):
+                others.append((t, spread))
+    roots = [pow(root, e, prime) for e in range(order)]
+    split: dict[int, tuple[list[int], int]] = {}
+    systems = {}
+    for p, (*_, zeroed, eq, others) in zip(Partition, cuts):
+        rows, skipped = _other_rows(S, p, others, split, roots, zeroed)
+        systems[p] = ConstraintSystem(
+            p, p.kept_dims(S.dims), rows, order, prime, root, skipped,
+            [m & ~(1 << i) for i, m in enumerate(zeroed)], eq,
+        )
+    return systems
+
+
+def _other_rows(S, p, others, split, roots, zeroed):
+    """Cut p's rows of the others, the (tuple, spread) pairs not lone on p:
+    their unit rows are ORed into zeroed, and their per-pair rows and skip
+    count are returned (see Presolve and Per-pair rows).  split caches,
+    across the cuts, each tuple's partners that need rows and the count of
+    its one-shared-ket pairs."""
+    if not others:
+        return [], 0
+    order, prime, _ = S.field
+    tuples, partners = S.tuples, S.partners
+    axis, (ka, kb) = p.cut_axis, p.kept_axes
+    db, P = S.dims.as_tuple()[kb], len(zeroed)
+    # the others' cells in ket order (a partner of one of the others is one
+    # of them too), and the cut index of the cut coordinates they meet:
+    # x -> {tuple: mask of its kept indices at x}
+    cells = {t: [(k[axis], k[ka] * db + k[kb]) for k in tuples[t].kets]
+             for t, _ in others}
+    index: dict[int, dict[int, int]] = {x: {} for c in cells.values() for x, _ in c}
+    for t, tup in enumerate(tuples):
+        for k in tup.kets:
+            if (at := index.get(k[axis])) is not None:
+                at[t] = at.get(t, 0) | 1 << k[ka] * db + k[kb]
     rows: list[dict[int, int]] = []
     skipped = 0
-    if others:
-        # the others' cells in ket order (a partner of one of the others is
-        # one of them too), and the cut index of the cut coordinates they
-        # meet: x -> {tuple: mask of its kept indices at x}
-        cells = {t: [(k[axis], k[ka] * db + k[kb]) for k in tuples[t].kets]
-                 for t, _ in others}
-        index: dict[int, dict[int, int]] = {
-            x: {} for c in cells.values() for x, _ in c
-        }
-        for t, tup in enumerate(tuples):
-            for k in tup.kets:
-                if (at := index.get(k[axis])) is not None:
-                    at[t] = at.get(t, 0) | 1 << k[ka] * db + k[kb]
-        roots = [pow(root, e, prime) for e in range(order)]
-        for t, spread in others:
-            # the unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
-            # coordinate, u not a partner of t
-            tup, ts = tuples[t], partners[t]
-            for x, i in cells[t]:
-                at = index[x]
-                for u in at.keys() - ts:
-                    zeroed[i] |= at[u]
-            # per-pair rows of t's partners and, if t is not spread, its own
-            # (see Per-pair rows): meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
-            blocks = []
-            for u in sorted(ts):
-                if u == t and spread:
-                    continue
-                if len(ts[u]) == 1:
-                    # one shared ket (t maps to its own w >= 2 kets): every
-                    # overlap is a root of unity, skipped
-                    skipped += tup.weight * tuples[u].weight
-                    continue
-                st, su = order // tup.weight, order // tuples[u].weight
-                blocks.append((u, [
-                    (i * P + j, m * st, mu * su)
-                    for m, (x, i) in enumerate(cells[t])
-                    for mu, (y, j) in enumerate(cells[u])
-                    if x == y
-                ]))
-            for n in range(tup.weight):
-                for u, meets in blocks:
-                    for nu in range(tuples[u].weight):
-                        if u == t and nu == n:
-                            continue
-                        row: dict[int, int] = {}
-                        for k, a, b in meets:
-                            row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
-                        # the trace, on the diagonal unknowns k*(P+1), is the overlap
-                        if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
-                            skipped += 1
-                            continue
-                        rows.append({k: r for k, v in row.items() if (r := v % prime)})
-    zeroed = [m & ~(1 << i) for i, m in enumerate(zeroed)]
-    return ConstraintSystem(
-        p, (da, db), rows, order, prime, root, skipped, zeroed, equalities,
-    )
+    for t, spread in others:
+        # the unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
+        # coordinate, u not a partner of t
+        tup, ts = tuples[t], partners[t]
+        for x, i in cells[t]:
+            at = index[x]
+            for u in at.keys() - ts:
+                zeroed[i] |= at[u]
+        # per-pair rows of t's partners and, if t is not spread, its own:
+        # meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
+        if t not in split:
+            # t's partners sharing two or more kets need rows (t among them:
+            # it maps to its own w >= 2 kets); the w * w' pairs of each one
+            # sharing one ket have a root of unity as overlap, all skipped
+            need, one = [], 0
+            for u, kets in ts.items():
+                if len(kets) > 1:
+                    need.append(u)
+                else:
+                    one += tuples[u].weight
+            split[t] = sorted(need), tup.weight * one
+        need, skip = split[t]
+        skipped += skip
+        st = order // tup.weight
+        blocks = [
+            (u, [
+                (i * P + j, m * st, mu * (order // tuples[u].weight))
+                for m, (x, i) in enumerate(cells[t])
+                for mu, (y, j) in enumerate(cells[u])
+                if x == y
+            ])
+            for u in need
+            if u != t or not spread
+        ]
+        for n in range(tup.weight):
+            for u, meets in blocks:
+                for nu in range(tuples[u].weight):
+                    if u == t and nu == n:
+                        continue
+                    row: dict[int, int] = {}
+                    for k, a, b in meets:
+                        row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
+                    # the trace, on the diagonal unknowns k*(P+1), is the overlap
+                    if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
+                        skipped += 1
+                        continue
+                    rows.append({k: r for k, v in row.items() if (r := v % prime)})
+    return rows, skipped
+
+
+def build_constraints(
+    S: StateSet, p: Partition, force: bool = False
+) -> ConstraintSystem:
+    """Cut p's system, build_systems(S, force)[p]: all three cuts are
+    guarded and built, so any cut of S above the guard refuses p too."""
+    return build_systems(S, force)[p]
 
 
 @dataclass
@@ -362,8 +426,9 @@ def oracle_verdict(S: StateSet, p: Partition, force: bool = False) -> NullspaceR
 
 
 def oracle_all(S: StateSet, force: bool = False) -> dict[Partition, NullspaceResult]:
-    """Strongest-nonlocal overall iff every partition reports trivial-only."""
-    return {p: oracle_verdict(S, p, force=force) for p in Partition}
+    """Strongest-nonlocal overall iff every partition reports trivial-only;
+    the three systems come from one build_systems call."""
+    return {p: nullspace(cs) for p, cs in build_systems(S, force).items()}
 
 
 def dump_system(cs: ConstraintSystem) -> str:

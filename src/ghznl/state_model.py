@@ -399,21 +399,21 @@ def parse_state_set(text: str) -> StateSet:
     tuples_raw = doc.get("tuples")
     if not isinstance(tuples_raw, list):
         raise StateSetFormatError("tuples: expected a list")
+    d1, d2, d3 = dims_raw
     tuples = []
     for idx, t in enumerate(tuples_raw):
-        where = f"tuples[{idx}]"
         if not isinstance(t, dict):
-            raise StateSetFormatError(f"{where}: expected an object")
+            raise StateSetFormatError(f"tuples[{idx}]: expected an object")
         weight = t.get("weight")
         kets_raw = t.get("kets")
         label = t.get("label")
         if not _is_int(weight):
-            raise StateSetFormatError(f"{where}: weight must be an integer")
+            raise StateSetFormatError(f"tuples[{idx}]: weight must be an integer")
         if not isinstance(kets_raw, list):
-            raise StateSetFormatError(f"{where}: kets must be a list")
+            raise StateSetFormatError(f"tuples[{idx}]: kets must be a list")
         if len(kets_raw) != weight:
             raise StateSetFormatError(
-                f"{where}: weight {weight} but {len(kets_raw)} kets"
+                f"tuples[{idx}]: weight {weight} but {len(kets_raw)} kets"
             )
         kets = []
         for kidx, k in enumerate(kets_raw):
@@ -423,23 +423,23 @@ def parse_state_set(text: str) -> StateSet:
                 or not (type(k[0]) is type(k[1]) is type(k[2]) is int)
             ):
                 raise StateSetFormatError(
-                    f"{where}.kets[{kidx}]: expected a list of 3 integers"
+                    f"tuples[{idx}].kets[{kidx}]: expected a list of 3 integers"
                 )
-            ket = Ket(*k)
-            if not dims.contains(ket):
+            x, y, z = k
+            if not (0 <= x < d1 and 0 <= y < d2 and 0 <= z < d3):
                 raise StateSetFormatError(
-                    f"{where}.kets[{kidx}]: ket {tuple(ket)} out of bounds for "
-                    f"dims {dims.as_tuple()}"
+                    f"tuples[{idx}].kets[{kidx}]: ket {x, y, z} out of bounds "
+                    f"for dims {dims.as_tuple()}"
                 )
-            kets.append(ket)
+            kets.append(Ket(x, y, z))
         if label is not None and not isinstance(label, str):
-            raise StateSetFormatError(f"{where}: label must be a string")
+            raise StateSetFormatError(f"tuples[{idx}]: label must be a string")
         tup = object.__new__(GhzTuple)  # the kets are checked above
         tup.__dict__.update(weight=weight, kets=tuple(kets), label=label)
         try:
             tup._check_weight()
         except ValueError as e:
-            raise StateSetFormatError(f"{where}: {e}") from e
+            raise StateSetFormatError(f"tuples[{idx}]: {e}") from e
         tuples.append(tup)
     S = object.__new__(StateSet)
     S.__dict__.update(dims=dims, tuples=tuple(tuples))

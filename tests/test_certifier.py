@@ -331,6 +331,22 @@ class TestOnePreparationPass:
         assert walks == ["cmd_graph"]
         assert capsys.readouterr().err.count("connected") == 3
 
+    def test_one_build_makes_every_cut(self, monkeypatch, tmp_path, capsys):
+        # certify and `ghznl oracle --dump-system` each build the three
+        # cuts' systems in a single build_systems call
+        builds = []
+        _spy(monkeypatch, ghznl.oracle.build_systems, builds)
+        r = certify(c345(), method="both")
+        assert builds == ["oracle_all"]
+        assert list(r.oracle) == list(Partition)
+        builds.clear()
+        code = ghznl.cli.main(
+            ["oracle", "--construction", "c345", "--dump-system", str(tmp_path / "sys")]
+        )
+        assert code == 0
+        assert builds == ["cmd_oracle"]
+        assert capsys.readouterr().err.count("wrote ") == 3
+
     def test_oracle_expands_no_state(self, monkeypatch):
         # every oracle row is built from the tuples' kets: even4's
         # ket-sharing tuples 16, 27 and 17, 28 still get their 16 skipped

@@ -12,7 +12,7 @@ from ghznl.cli import (
     main,
 )
 from ghznl.constructions import even_d
-from ghznl.state_model import parse_state_set, write_state_set
+from ghznl.state_model import Partition, parse_state_set, write_state_set
 from test_constructions import without_labels
 
 
@@ -255,24 +255,59 @@ class TestOracle:
         assert "unknowns=81" in dump
 
     def test_dump_system_builds_each_cut_once(self, tmp_path, capsys, monkeypatch):
+        """One build_systems call builds every cut; each is dumped once."""
         built = []
-        original = cli.build_constraints
+        original = cli.build_systems
 
-        def spy(S, p, **kwargs):
-            built.append(p.value)
-            return original(S, p, **kwargs)
+        def spy(S, **kwargs):
+            systems = original(S, **kwargs)
+            built.append(list(systems))
+            return systems
 
-        monkeypatch.setattr(cli, "build_constraints", spy)
-        code, out, _ = run(
+        monkeypatch.setattr(cli, "build_systems", spy)
+        code, out, err = run(
             capsys,
             "oracle", "--construction", "c333",
             "--dump-system", str(tmp_path / "sys"),
         )
         assert code == EXIT_STRONGEST
-        assert built == ["A", "B", "C"]
+        assert built == [list(Partition)]
+        assert err.count("wrote ") == 3
         for cut, line in zip("ABC", out.strip().splitlines()):
             assert line.startswith(f"cut {cut}: dim=1 trivial-only")
             assert (tmp_path / f"sys_{cut}.txt").exists()
+
+    # one weight-2 tuple in 71x2x2: cut A has 16 unknowns, B and C 20,164
+    LOPSIDED = ('{"dims": [71, 2, 2], "tuples": '
+                '[{"weight": 2, "kets": [[0,0,0],[1,1,1]]}]}')
+
+    def test_guard_refuses_every_cut_before_building(self, tmp_path, capsys):
+        doc = tmp_path / "lopsided.json"
+        doc.write_text(self.LOPSIDED)
+        code, out, err = run(capsys, "oracle", "--input", str(doc), "--partition", "A")
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert err == (
+            "refused: 20164 unknowns on cut B exceeds the guard of 20000; "
+            "pass force/--force to proceed\n"
+        )
+        code, out, _ = run(
+            capsys, "oracle", "--input", str(doc), "--partition", "A", "--force"
+        )
+        line = "cut {}: dim={} nontrivial-exists identity=yes mode=modular\n"
+        assert code == EXIT_NOT_STRONGEST
+        assert out == line.format("A", 15)
+        code, out, _ = run(capsys, "oracle", "--input", str(doc), "--force")
+        assert code == EXIT_NOT_STRONGEST
+        assert out == "".join(
+            line.format(c, n) for c, n in (("A", 15), ("B", 20163), ("C", 20163))
+        )
+        code, out, _ = run(capsys, "certify", "--input", str(doc))
+        assert code == EXIT_INCONCLUSIVE
+        assert json.loads(out)["notes"][-1] == (
+            "oracle refused: 20164 unknowns on cut B exceeds the guard of "
+            "20000; pass force/--force to proceed"
+        )
 
 
 def rank_mod(rows, p):

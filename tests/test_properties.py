@@ -15,7 +15,7 @@ from ghznl.graphs import (
     component_counts,
     connected_components,
 )
-from ghznl.oracle import build_constraints, nullspace, oracle_all
+from ghznl.oracle import build_constraints, build_systems, nullspace, oracle_all
 from ghznl.state_model import (
     GhzTuple,
     Ket,
@@ -899,13 +899,16 @@ def test_component_count_matches_breadth_first_search(S):
         collapsed_sets(),
         mixed_sets(),
         one_shared_ket_sets(),
+        layered_partitions(),
     )
 )
 def test_constraint_build_matches_general_builder(S):
-    """Every mask, equality, per-pair row and skip count is the general
-    builder's, in order."""
-    for p in Partition:
-        cs = build_constraints(S, p)
+    """Every mask, equality, per-pair row and skip count of each cut, all
+    three from one build_systems call, is the general builder's, in order."""
+    systems = build_systems(S)
+    assert list(systems) == list(Partition)
+    for p, cs in systems.items():
+        assert cs.partition is p
         # the reference names each diagonal unknown E[i, i] as i*(P+1)
         P = cs.side
         equalities = [(d0 * (P + 1), d * (P + 1)) for d0, d in cs.equalities]

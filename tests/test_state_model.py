@@ -351,6 +351,39 @@ class TestDocumentFormat:
             parse_state_set(self.doc(tuple_text, self.PAIR))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"dims": [3,3,3], "tuples": [}',
+             "not valid JSON: Expecting value: line 1 column 30 (char 29)"),
+            ("[3, 3, 3]", "top level must be an object"),
+            ('{"dims": [3, 3], "tuples": []}', "dims: expected a list of 3 integers"),
+            ('{"dims": [3, 1, 3], "tuples": []}',
+             "dims: local dimensions must be integers >= 2, got 1"),
+            ('{"dims": [3, 3, 3], "tuples": {}}', "tuples: expected a list"),
+            ('{"dims": [3, 3, 3], "tuples": [{"weight": "2", '
+             '"kets": [[0,0,0],[1,1,1]]}]}', "tuples[0]: weight must be an integer"),
+            ('{"dims": [3, 3, 3], "tuples": [{"weight": 2, '
+             '"kets": "[[0,0,0],[1,1,1]]"}]}', "tuples[0]: kets must be a list"),
+            ('{"dims": [3, 3, 3], "tuples": [{"weight": 3, '
+             '"kets": [[0,0,0],[1,1,1]]}]}', "tuples[0]: weight 3 but 2 kets"),
+            ('{"dims": [3, 3, 3], "tuples": [{"weight": 2, "kets": [[0,0,0],[1,1,1]]}, '
+             '{"weight": 2, "kets": [[2,2,2],[1,3,1]]}]}',
+             "tuples[1].kets[1]: ket (1, 3, 1) out of bounds for dims (3, 3, 3)"),
+        ],
+        ids=[
+            "not-json", "top-level-not-an-object", "two-dims", "dimension-1",
+            "tuples-not-a-list", "string-weight", "kets-not-a-list",
+            "weight-ket-count-mismatch", "second-tuple-out-of-bounds",
+        ],
+    )
+    def test_document_defect_message(self, text, message):
+        """Each document-level branch, and a tuple past the first, is
+        reported with its exact message."""
+        with pytest.raises(StateSetFormatError) as info:
+            parse_state_set(text)
+        assert str(info.value) == message
+
     def test_first_defect_in_document_order_is_reported(self):
         # tuple 1 repeats a ket, tuple 2 has a two-element ket
         text = self.doc(
