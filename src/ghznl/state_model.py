@@ -10,10 +10,12 @@ Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.  What the validators, the
 certifier and the oracle all read about a set (each tuple's first state
-index, its ket-sharing partners with the kets it shares with each, its
-coordinately-different flag, the set's field) is a cached property of the
-immutable StateSet, computed on first read.  Only StateSet.partners works
-out which kets two tuples share.
+index, the tuples holding each ket, each tuple's ket-sharing partners with
+the kets it shares with each, its coordinately-different flag, the set's
+field) is a cached property of the immutable StateSet, computed on first
+read.  Only StateSet.holders walks the kets to index them, and only
+StateSet.partners works out which kets two tuples share; the plane check
+is decided afresh on every call, by probing the holder index.
 """
 
 from __future__ import annotations
@@ -149,15 +151,25 @@ class StateSet:
         return tuple(itertools.accumulate(weights, initial=0))[:-1]
 
     @cached_property
-    def partners(self) -> tuple[Mapping[int, frozenset[Ket]], ...]:
-        """partners[t]: a read-only map from each tuple u that shares a ket
-        with t to the kets t and u share; t maps to all of its own kets."""
+    def holders(self) -> Mapping[Ket, list[int]]:
+        """A read-only map from each ket of the set to the tuples that hold
+        it, in tuple order: the one walk over the kets that partners and
+        the plane check read.  The values are plain lists, appended in that
+        walk, and must not be changed."""
         holders: dict[Ket, list[int]] = {}
         for t, tup in enumerate(self.tuples):
             for ket in tup.kets:
                 holders.setdefault(ket, []).append(t)
+        return MappingProxyType(holders)
+
+    @cached_property
+    def partners(self) -> tuple[Mapping[int, frozenset[Ket]], ...]:
+        """partners[t]: a read-only map from each tuple u that shares a ket
+        with t to the kets t and u share; t maps to all of its own kets.
+        Read off S.holders: each ket held twice or more is added to the
+        entry of every pair of its holders."""
         partners = [{t: frozenset(tup.kets)} for t, tup in enumerate(self.tuples)]
-        for ket, ts in holders.items():
+        for ket, ts in self.holders.items():
             if len(ts) > 1:
                 one = frozenset((ket,))
                 for t in ts:
@@ -270,27 +282,40 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
 
 
 def coordinate_set(S: StateSet) -> set[tuple[int, int, int]]:
-    """All coordinate triples appearing in any tuple of S."""
-    return {ket for t in S.tuples for ket in t.kets}
+    """All coordinate triples appearing in any tuple of S: the keys of
+    S.holders."""
+    return set(S.holders)
 
 
 def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest (i0, j0, k0) whose three coordinate planes
-    all lie inside the coordinate set, or None.  Kets are bounds-checked, so
-    a plane lies inside iff it holds as many distinct kets as it has cells."""
+    all lie inside the coordinate set, or None.
+
+    The plane across the smallest dimension has d1*d2*d3 / min(dims) cells,
+    so a witness needs at least that many distinct kets; below that the
+    answer is None without a probe.  Above it every dimension is at most
+    the number of kets, and on each axis the least coordinate c whose
+    plane cells are all keys of S.holders is found by probing the cells of
+    c = 0, 1, ... in turn; all() stops at a plane's first missing cell.
+    The planes of one axis are disjoint, so an axis costs at most one hit
+    per ket and one miss per coordinate: O(kets), and nothing is allocated
+    per coordinate."""
+    holders = S.holders
     dims = S.dims.as_tuple()
-    counts = [[0] * d for d in dims]
-    ci, cj, ck = counts
-    for i, j, k in coordinate_set(S):
-        ci[i] += 1
-        cj[j] += 1
-        ck[k] += 1
-    cells = math.prod(dims)
-    witness = tuple(
-        next((c for c, n in enumerate(count) if n * d == cells), None)
-        for count, d in zip(counts, dims)
-    )
-    return None if None in witness else witness
+    if len(holders) * min(dims) < math.prod(dims):
+        return None
+    held = holders.__contains__
+    ranges = [range(d) for d in dims]
+    witness = []
+    for axis, d in enumerate(dims):
+        before, after = ranges[:axis], ranges[axis + 1 :]
+        for c in range(d):
+            if all(map(held, itertools.product(*before, (c,), *after))):
+                witness.append(c)
+                break
+        else:
+            return None
+    return tuple(witness)
 
 
 def check_special_set(S: StateSet) -> list[int]:

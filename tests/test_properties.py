@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ghznl.arithmetic import SparseEliminator, norm_bound, prime_field, union_find
 from ghznl.certifier import certify, check_hypotheses
+from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.graphs import (
     build_graph,
     build_path_graph,
@@ -269,48 +270,6 @@ def test_mutual_orthogonality_matches_all_pairs_scan(S):
         if not states_orthogonal(states[a], states[b])
     ]
     assert check_mutual_orthogonality(S) == expected
-
-
-@st.composite
-def dense_sets(draw):
-    """Kets covering all but a few cells of a small grid, paired in drawn
-    order into weight-2 tuples, so whole coordinate planes occur."""
-    dims = tuple(draw(st.integers(2, 3)) for _ in range(3))
-    grid = draw(st.permutations(list(itertools.product(*map(range, dims)))))
-    kets = grid[: len(grid) - draw(st.integers(0, 4))]
-    if len(kets) % 2:
-        kets.append(kets[0])
-    return StateSet(
-        SystemDims(*dims),
-        tuple(
-            GhzTuple(2, (Ket(*a), Ket(*b))) for a, b in zip(kets[::2], kets[1::2])
-        ),
-    )
-
-
-@settings(**SETTINGS)
-@given(dense_sets())
-def test_plane_witness_is_lexicographically_smallest(S):
-    coords = {tuple(k) for t in S.tuples for k in t.kets}
-    dims = S.dims.as_tuple()
-
-    def plane(axis, c):
-        return all(
-            k in coords
-            for k in itertools.product(
-                *(range(n) if a != axis else [c] for a, n in enumerate(dims))
-            )
-        )
-
-    expected = min(
-        (
-            t
-            for t in itertools.product(*map(range, dims))
-            if all(plane(a, t[a]) for a in range(3))
-        ),
-        default=None,
-    )
-    assert check_plane_containing(S) == expected
 
 
 @settings(**SETTINGS)
@@ -831,6 +790,78 @@ def one_shared_ket_sets(draw):
     return StateSet(dims, (GhzTuple(w, tuple(a)), GhzTuple(w2, tuple(b))))
 
 
+@st.composite
+def dense_sets(draw):
+    """Kets covering all but a few cells of a small grid, paired in drawn
+    order into weight-2 tuples, so whole coordinate planes occur."""
+    dims = tuple(draw(st.integers(2, 3)) for _ in range(3))
+    grid = draw(st.permutations(list(itertools.product(*map(range, dims)))))
+    kets = grid[: len(grid) - draw(st.integers(0, 4))]
+    if len(kets) % 2:
+        kets.append(kets[0])
+    return StateSet(
+        SystemDims(*dims),
+        tuple(
+            GhzTuple(2, (Ket(*a), Ket(*b))) for a, b in zip(kets[::2], kets[1::2])
+        ),
+    )
+
+
+ABLATED_FAMILIES = (c333, c345, c444_weight4, lambda: even_d(4), lambda: odd_d(5))
+
+
+@st.composite
+def ablated_families(draw):
+    """A published family with up to three of its tuples dropped and each
+    axis cyclically shifted by a drawn amount, so whole planes sit off
+    coordinate 0, are broken, or are gone."""
+    S = draw(st.sampled_from(ABLATED_FAMILIES))()
+    dropped = draw(st.sets(st.integers(0, len(S.tuples) - 1), max_size=3))
+    dims = S.dims.as_tuple()
+    shifts = [draw(st.integers(0, d - 1)) for d in dims]
+
+    def shift(k):
+        return Ket(*((c + s) % d for c, s, d in zip(k, shifts, dims)))
+
+    return StateSet(
+        S.dims,
+        tuple(
+            GhzTuple(t.weight, tuple(map(shift, t.kets)))
+            for i, t in enumerate(S.tuples)
+            if i not in dropped
+        ),
+    )
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        dense_sets(), collapsed_sets(), one_shared_ket_sets(), ablated_families()
+    )
+)
+def test_plane_witness_is_lexicographically_smallest(S):
+    coords = {tuple(k) for t in S.tuples for k in t.kets}
+    dims = S.dims.as_tuple()
+
+    def plane(axis, c):
+        return all(
+            k in coords
+            for k in itertools.product(
+                *(range(n) if a != axis else [c] for a, n in enumerate(dims))
+            )
+        )
+
+    expected = min(
+        (
+            t
+            for t in itertools.product(*map(range, dims))
+            if all(plane(a, t[a]) for a in range(3))
+        ),
+        default=None,
+    )
+    assert check_plane_containing(S) == expected
+
+
 @settings(**SETTINGS)
 @given(
     st.one_of(
@@ -845,6 +876,10 @@ def test_cached_set_facts_match_brute_force(S):
     weights = [t.weight for t in S.tuples]
     assert list(S.first) == [sum(weights[:t]) for t in range(len(weights))]
     assert list(S.partners) == reference_partners(S)
+    kets = {k for t in S.tuples for k in t.kets}
+    assert dict(S.holders) == {
+        k: [t for t, tup in enumerate(S.tuples) if k in tup.kets] for k in kets
+    }
     assert list(S.coordinately_different) == [
         all(len({k[axis] for k in t.kets}) == t.weight for axis in range(3))
         for t in S.tuples

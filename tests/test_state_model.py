@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ghznl.constructions import c333, c345, c444_weight4, even_d
@@ -128,6 +130,27 @@ class TestPartners:
             self.S.partners[0][2] = frozenset()
 
 
+class TestHolders:
+    # the set of TestPartners: two weight-3 tuples through (0, 0, 0) and
+    # (1, 1, 1), and a third that meets neither
+    S = TestPartners.S
+
+    def test_holders_by_value(self):
+        assert dict(self.S.holders) == {
+            Ket(0, 0, 0): [0, 1],
+            Ket(1, 1, 1): [0, 1],
+            Ket(2, 2, 2): [0],
+            Ket(2, 0, 1): [1],
+            Ket(0, 1, 2): [2],
+            Ket(1, 2, 0): [2],
+            Ket(2, 1, 0): [2],
+        }
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            self.S.holders[Ket(2, 2, 0)] = [2]
+
+
 class TestMutualOrthogonality:
     def test_c333_passes(self):
         assert check_mutual_orthogonality(c333()) == []
@@ -209,6 +232,48 @@ class TestPlaneContaining:
 
     def test_empty_set_not_plane_containing(self):
         assert check_plane_containing(StateSet(D3, ())) is None
+
+    def test_dims_beyond_an_index_without_tuples(self):
+        dims = SystemDims(10**20, 10**20, 2)
+        assert check_plane_containing(StateSet(dims, ())) is None
+
+    # the full plane i = 10**6 - 1 of (10**6, 2, 2), as two weight-2 tuples:
+    # four kets, far fewer than the 2 * 10**6 cells of the plane k = 0
+    LAST = 10**6 - 1
+    ONE_PLANE = StateSet(
+        SystemDims(10**6, 2, 2),
+        (
+            GhzTuple(2, ((LAST, 0, 0), (LAST, 1, 1))),
+            GhzTuple(2, ((LAST, 0, 1), (LAST, 1, 0))),
+        ),
+    )
+
+    def test_one_plane_in_large_dims_allocates_little(self):
+        S = StateSet(self.ONE_PLANE.dims, self.ONE_PLANE.tuples)  # nothing cached
+        tracemalloc.start()
+        try:
+            assert check_plane_containing(S) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_probes_are_bounded_by_the_kets(self):
+        """At most one hit per ket and one miss per coordinate on each axis,
+        and no coordinate beyond the number of kets is ever tried."""
+        probes = []
+
+        class Counting(dict):
+            def __contains__(self, ket):
+                probes.append(ket)
+                return super().__contains__(ket)
+
+        for S in (self.ONE_PLANE, c333(), even_d(4)):
+            S = StateSet(S.dims, S.tuples)
+            S.__dict__["holders"] = held = Counting(S.holders)
+            probes.clear()
+            check_plane_containing(S)
+            assert len(probes) <= 6 * len(held)
 
 
 class TestSpecialSet:
