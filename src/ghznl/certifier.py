@@ -6,10 +6,10 @@ one-directional sufficient condition when higher weights are present.  The
 nullspace oracle decides the defining property directly, so when both run the
 oracle's verdict wins.
 
-The per-set facts every check and the oracle read (tuple offsets, each
-tuple's partners and the kets it shares with each, coordinately-different
-flags, the prime field) are cached properties of the StateSet, so one
-certify computes each of them once.
+The per-set facts every check and the oracle read (the number of states,
+tuple offsets, the tuples holding each ket, coordinately-different flags,
+the prime field) are cached properties of the StateSet, so one certify
+computes each of them once.
 """
 
 from __future__ import annotations
@@ -152,10 +152,10 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     and records agreement; 'oracle' does the same as 'both', since the graph
     route's hypotheses and partitions go into every report.  The oracle
     verdict takes precedence whenever it ran.  Every check and the oracle
-    read the set's cached facts (S.first, S.partners, which holds the kets
-    each two tuples share, S.coordinately_different, S.field), so each is
-    computed at most once per set.  Each cut skips every non-orthogonal
-    ordered state pair, and the skip note counts them per cut.
+    read the set's cached facts (S.n_states, S.first, S.holders,
+    S.coordinately_different, S.field), so each is computed at most once
+    per set.  Each cut skips every non-orthogonal ordered state pair, and
+    the skip note counts them per cut.
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")

@@ -55,8 +55,8 @@ so the row of states (t, n), (u, n') has omega_L^(m' n' L/w_u -
 m n L/w_t) at E[q_m, q'_m'] for each ket pair (m, m') of t, u at one cut
 coordinate.  If t and u share exactly one ket, each such row's trace is
 one root of unity, so all w_t * w_u pairs are skipped and no row is built;
-each tuple's partners are split, once per set, into these and the ones
-that share two or more kets (read from S.partners) before any meet is
+each tuple's partners are split, once per build, into these and the ones
+that share two or more kets (counted by S.shares) before any meet is
 listed.
 
 Presolve.  The system keeps its unit rows as one bit mask per row of E
@@ -95,6 +95,7 @@ with bit r clear gives a diagonal one: O(P + rank), no P^2 scan.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -187,8 +188,8 @@ def build_systems(
     Unless force is set, the first of cuts A, B, C with more than
     RESOURCE_GUARD_UNKNOWNS unknowns is refused before any list is built.
     All three cuts then come from one walk over the kets and one over the
-    tuples (see Presolve); S.partners, S.coordinately_different and
-    S.field are cached on the set.
+    tuples (see Presolve), reading S.sharing once and S.shares at most
+    once per tuple.
     """
     for p in Partition:
         da, db = p.kept_dims(S.dims)
@@ -201,7 +202,7 @@ def build_systems(
     dims = S.dims.as_tuple()
     d1, d2, d3 = dims
     order, prime, root = S.field
-    tuples, partners, cd = S.tuples, S.partners, S.coordinately_different
+    tuples, cd, sharing = S.tuples, S.coordinately_different, S.sharing()
     # the mask of kept indices met at each (bounds-checked) cut coordinate:
     # j*d3 + k at i on A, k*d1 + i at j on B, i*d2 + j at k on C
     ma, mb, mc = [0] * d1, [0] * d2, [0] * d3
@@ -220,7 +221,7 @@ def build_systems(
     ]
     for t, tup in enumerate(tuples):
         kets = tup.kets
-        if cd[t] and len(partners[t]) == 1:
+        if cd[t] and t not in sharing:
             # spread on every cut, with kept indices distinct from the first
             i, j, k = kets[0]
             a0, b0, c0 = j * d3 + k, k * d1 + i, i * d2 + j
@@ -236,7 +237,7 @@ def build_systems(
                 eb.append((b0, b))
                 ec.append((c0, c))
             continue
-        lone = len(partners[t]) == 1
+        lone = t not in sharing
         for axis, ka, kb, db, met, zeroed, eq, others in cuts:
             spread = cd[t] or len({k[axis] for k in kets}) == len(kets)
             if spread:
@@ -250,7 +251,7 @@ def build_systems(
             if not (spread and lone):
                 others.append((t, spread))
     roots = [pow(root, e, prime) for e in range(order)]
-    split: dict[int, tuple[list[int], int]] = {}
+    split: dict[int, tuple[Counter[int], list[int], int]] = {}
     systems = {}
     for p, (*_, zeroed, eq, others) in zip(Partition, cuts):
         rows, skipped = _other_rows(S, p, others, split, roots, zeroed)
@@ -265,12 +266,12 @@ def _other_rows(S, p, others, split, roots, zeroed):
     """Cut p's rows of the others, the (tuple, spread) pairs not lone on p:
     their unit rows are ORed into zeroed, and their per-pair rows and skip
     count are returned (see Presolve and Per-pair rows).  split caches,
-    across the cuts, each tuple's partners that need rows and the count of
-    its one-shared-ket pairs."""
+    across the cuts, each tuple's S.shares, its partners that need rows
+    and the count of its one-shared-ket pairs."""
     if not others:
         return [], 0
     order, prime, _ = S.field
-    tuples, partners = S.tuples, S.partners
+    tuples = S.tuples
     axis, (ka, kb) = p.cut_axis, p.kept_axes
     db, P = S.dims.as_tuple()[kb], len(zeroed)
     # the others' cells in ket order (a partner of one of the others is one
@@ -286,27 +287,24 @@ def _other_rows(S, p, others, split, roots, zeroed):
     rows: list[dict[int, int]] = []
     skipped = 0
     for t, spread in others:
+        tup = tuples[t]
+        if t not in split:
+            # t's partners sharing two or more kets need rows (t among them:
+            # it shares its own w >= 2 kets); the w * w' pairs of each one
+            # sharing one ket have a root of unity as overlap, all skipped
+            ts = S.shares(t)
+            need = sorted(u for u, count in ts.items() if count > 1)
+            one = sum(tuples[u].weight for u, count in ts.items() if count == 1)
+            split[t] = ts, need, tup.weight * one
+        ts, need, skip = split[t]
         # the unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
         # coordinate, u not a partner of t
-        tup, ts = tuples[t], partners[t]
         for x, i in cells[t]:
             at = index[x]
             for u in at.keys() - ts:
                 zeroed[i] |= at[u]
         # per-pair rows of t's partners and, if t is not spread, its own:
         # meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
-        if t not in split:
-            # t's partners sharing two or more kets need rows (t among them:
-            # it maps to its own w >= 2 kets); the w * w' pairs of each one
-            # sharing one ket have a root of unity as overlap, all skipped
-            need, one = [], 0
-            for u, kets in ts.items():
-                if len(kets) > 1:
-                    need.append(u)
-                else:
-                    one += tuples[u].weight
-            split[t] = sorted(need), tup.weight * one
-        need, skip = split[t]
         skipped += skip
         st = order // tup.weight
         blocks = [

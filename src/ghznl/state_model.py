@@ -9,13 +9,13 @@ from arithmetic.py), and Schmidt rank from the exponents alone.
 Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.  What the validators, the
-certifier and the oracle all read about a set (each tuple's first state
-index, the tuples holding each ket, each tuple's ket-sharing partners with
-the kets it shares with each, its coordinately-different flag, the set's
-field) is a cached property of the immutable StateSet, computed on first
-read.  Only StateSet.holders walks the kets to index them, and only
-StateSet.partners works out which kets two tuples share; the plane check
-is decided afresh on every call, by probing the holder index.
+certifier and the oracle all read about a set (its number of states, each
+tuple's first state index, the tuples holding each ket, each tuple's
+coordinately-different flag, the set's field) is a cached property of the
+immutable StateSet, computed on first read.  Only StateSet.holders walks
+the kets to index them.  Which tuples hold a shared ket (StateSet.sharing)
+and how many kets two tuples share (StateSet.shares) are read off that
+index on each call, and so is the plane check, by probing it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -136,13 +137,19 @@ class StateSet:
         if (w := self.tuples[idx].weight) > min(self.dims.as_tuple()):
             raise ValueError(f"tuple {idx}: weight {w} exceeds min dimension")
 
-    @property
-    def n_states(self) -> int:
-        return sum(t.weight for t in self.tuples)
+    def __getstate__(self) -> dict:
+        """The fields only: a copy computes its own facts (S.holders, a
+        read-only mapping, cannot be pickled)."""
+        return {"dims": self.dims, "tuples": self.tuples}
 
     # Facts of the set itself, computed on first read; no state is expanded.
     # cached_property stores them in the instance __dict__, outside the
     # fields, so equality and hashing are unchanged.
+
+    @cached_property
+    def n_states(self) -> int:
+        """The sum of the weights: the number of states, and of kets."""
+        return sum(t.weight for t in self.tuples)
 
     @cached_property
     def first(self) -> tuple[int, ...]:
@@ -153,31 +160,14 @@ class StateSet:
     @cached_property
     def holders(self) -> Mapping[Ket, list[int]]:
         """A read-only map from each ket of the set to the tuples that hold
-        it, in tuple order: the one walk over the kets that partners and
-        the plane check read.  The values are plain lists, appended in that
-        walk, and must not be changed."""
+        it, in tuple order: the one walk over the kets, which sharing,
+        shares and the plane check read.  The values are plain lists,
+        appended in that walk, and must not be changed."""
         holders: dict[Ket, list[int]] = {}
         for t, tup in enumerate(self.tuples):
             for ket in tup.kets:
                 holders.setdefault(ket, []).append(t)
         return MappingProxyType(holders)
-
-    @cached_property
-    def partners(self) -> tuple[Mapping[int, frozenset[Ket]], ...]:
-        """partners[t]: a read-only map from each tuple u that shares a ket
-        with t to the kets t and u share; t maps to all of its own kets.
-        Read off S.holders: each ket held twice or more is added to the
-        entry of every pair of its holders."""
-        partners = [{t: frozenset(tup.kets)} for t, tup in enumerate(self.tuples)]
-        for ket, ts in self.holders.items():
-            if len(ts) > 1:
-                one = frozenset((ket,))
-                for t in ts:
-                    shared = partners[t]
-                    for u in ts:
-                        if u != t:
-                            shared[u] = shared[u] | one if u in shared else one
-        return tuple(map(MappingProxyType, partners))
 
     @cached_property
     def coordinately_different(self) -> tuple[bool, ...]:
@@ -196,6 +186,20 @@ class StateSet:
         )
         order = math.lcm(*weights)
         return (order, *prime_field(order, bound))
+
+    def sharing(self) -> set[int]:
+        """The tuples holding a ket that another tuple holds too, read off
+        S.holders on each call: none iff S.holders has n_states keys."""
+        if len(self.holders) == self.n_states:
+            return set()
+        return {t for ts in self.holders.values() if len(ts) > 1 for t in ts}
+
+    def shares(self, t: int) -> Counter[int]:
+        """Each tuple u that shares a ket with tuple t, mapped to the number
+        of kets t and u share (t to its weight): counted off S.holders on
+        each call, and not kept."""
+        held = map(self.holders.__getitem__, self.tuples[t].kets)
+        return Counter(itertools.chain.from_iterable(held))
 
 
 @dataclass(frozen=True)
@@ -235,41 +239,38 @@ def expand_set(S: StateSet) -> list[StateVector]:
 def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     """Indices (in expansion order) of non-orthogonal state pairs; empty = pass.
 
-    Only pairs of distinct tuples that share a ket are tested, from the
-    kets they share (read from S.partners), in the set's field S.field;
-    no state is expanded.  States with no ket in common have overlap 0,
-    and every state of a tuple is supported on all its kets.  Two states
-    n != n' of one tuple need no test: the kets of a GhzTuple are
-    distinct, so their overlap is sum_m omega^(m (n' - n)) / w = 0, the
+    Only pairs of distinct tuples that share a ket are tested (S.sharing
+    and S.shares), from the kets they share (S.holders), in the set's field
+    S.field; no state is expanded.  States with no ket in common have
+    overlap 0, and every state of a tuple is supported on all its kets.
+    Two states n != n' of one tuple need no test: the kets of a GhzTuple
+    are distinct, so their overlap is sum_m omega^(m (n' - n)) / w = 0, the
     product of two distinct rows of the Fourier matrix.  State n of a
-    weight-w tuple is sum_m omega_w^(m n) |k_m> / sqrt(w), so the
-    unscaled overlap of (t, n) and (u, n') is the sum of
-    omega_L^(mu n' L/w_u - m n L/w_t) over the shared kets k_m = k'_mu:
-    the oracle's per-pair coefficient, and p exceeds every such sum's norm
-    bound, so the test is exact.  With one shared ket that sum is a single
-    root of unity, so all w * w' pairs of the two tuples are listed
-    without it.
+    weight-w tuple is sum_m omega_w^(m n) |k_m> / sqrt(w), so the unscaled
+    overlap of (t, n) and (u, n') is the sum of omega_L^(mu n' L/w_u -
+    m n L/w_t) over the shared kets k_m = k'_mu: the oracle's per-pair
+    coefficient, and p exceeds every such sum's norm bound, so the test is
+    exact.  With one shared ket that sum is a single root of unity, so all
+    w * w' pairs of the two tuples are listed without it.
     """
-    # partners[t] maps t itself, so the sizes, summed in C, add up to the
-    # number of tuples exactly when no two tuples share a ket
-    if sum(map(len, S.partners)) == len(S.tuples):
+    if not (sharing := S.sharing()):
         return []
     order, prime, root = S.field
     roots = [pow(root, e, prime) for e in range(order)]
-    tuples, first = S.tuples, S.first
+    tuples, first, holders = S.tuples, S.first, S.holders
     violations = []
-    for t, partners in enumerate(S.partners):
+    for t in sharing:
         a = tuples[t]
-        for u, kets in partners.items():
+        for u, count in S.shares(t).items():
             if u <= t:
                 continue
             b = tuples[u]
             # (m L/w_t, mu L/w_u) for each shared ket k_m = k'_mu, needed
             # only when two or more kets are shared
-            shared = len(kets) > 1 and [
-                (a.kets.index(k) * (order // a.weight),
-                 b.kets.index(k) * (order // b.weight))
-                for k in kets
+            shared = count > 1 and [
+                (m * (order // a.weight), b.kets.index(k) * (order // b.weight))
+                for m, k in enumerate(a.kets)
+                if u in holders[k]
             ]
             violations.extend(
                 (first[t] + n, first[u] + nu)

@@ -1,6 +1,10 @@
+import copy
+import gc
 import hashlib
 import json
+import pickle
 import sys
+import tracemalloc
 
 import pytest
 
@@ -30,6 +34,14 @@ from test_constructions import without_labels
 D2 = SystemDims(2, 2, 2)
 
 PAIR222 = StateSet(D2, (GhzTuple(2, (Ket(0, 0, 0), Ket(1, 1, 1))),))
+
+
+def one_common_ket_fan(n):
+    """n weight-2 tuples through the one common ket (0, 0, 0), in (n+1)x3x3."""
+    return StateSet(
+        SystemDims(n + 1, 3, 3),
+        tuple(GhzTuple(2, (Ket(0, 0, 0), Ket(t + 1, 1, 1))) for t in range(n)),
+    )
 
 
 def ghz_basis_222():
@@ -382,6 +394,41 @@ class TestOnePreparationPass:
         fresh = StateSet(S.dims, S.tuples)
         assert S == fresh and hash(S) == hash(fresh)
         assert report_to_dict(certify(fresh)) == report
+
+
+class TestCopies:
+    @pytest.mark.parametrize(
+        "copy_of", [lambda S: pickle.loads(pickle.dumps(S)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_certified_set_round_trips(self, copy_of):
+        # the copy carries the fields only and computes its own facts
+        S = even_d(4)
+        report = report_to_dict(certify(S))
+        T = copy_of(S)
+        assert T == S
+        assert vars(T).keys() == {"dims", "tuples"}
+        assert report_to_dict(certify(T)) == report
+
+
+class TestRetainedFacts:
+    def test_one_common_ket_fan_keeps_little(self):
+        # n = 200 weight-2 tuples through one common ket: the facts kept on
+        # the set after certify are linear in n (about 0.03 MB here); an
+        # n x n index of shared kets would keep about 2 MB
+        certify(one_common_ket_fan(3))
+        S = one_common_ket_fan(200)
+        tracemalloc.start()
+        try:
+            report = certify(S)
+            # all 2 x 2 state pairs of every two tuples are non-orthogonal
+            assert len(report.hypotheses.orthogonality_violations) == 4 * 19_900
+            del report
+            gc.collect()
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 250_000
 
 
 class TestCertifyBuildsNoGraph:

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
@@ -693,7 +694,7 @@ def reference_build(S, p):
     P = da * db
     axis = p.cut_axis
     ka, kb = p.kept_axes
-    tuples, partners = S.tuples, S.partners
+    tuples, partners = S.tuples, reference_partners(S)
     cells = [[(k[axis], k[ka] * db + k[kb]) for k in tup.kets] for tup in tuples]
     index, met, spread, equalities = {}, {}, [], []
     for t, tup in enumerate(tuples):
@@ -862,6 +863,27 @@ def test_plane_witness_is_lexicographically_smallest(S):
     assert check_plane_containing(S) == expected
 
 
+# each cached fact of StateSet, with its brute-force reference
+FACT_REFERENCES = {
+    "n_states": lambda S: sum(t.weight for t in S.tuples),
+    "first": lambda S: tuple(
+        sum(t.weight for t in S.tuples[:u]) for u in range(len(S.tuples))
+    ),
+    "holders": lambda S: {
+        k: [t for t, tup in enumerate(S.tuples) if k in tup.kets]
+        for tup in S.tuples
+        for k in tup.kets
+    },
+    "coordinately_different": lambda S: tuple(
+        all(len({k[axis] for k in t.kets}) == t.weight for axis in range(3))
+        for t in S.tuples
+    ),
+}
+
+# the cached facts checked by a dedicated test instead, by test name
+FACT_TESTS = {"field": "test_field_matches_its_definition"}
+
+
 @settings(**SETTINGS)
 @given(
     st.one_of(
@@ -873,17 +895,62 @@ def test_plane_witness_is_lexicographically_smallest(S):
     )
 )
 def test_cached_set_facts_match_brute_force(S):
-    weights = [t.weight for t in S.tuples]
-    assert list(S.first) == [sum(weights[:t]) for t in range(len(weights))]
-    assert list(S.partners) == reference_partners(S)
-    kets = {k for t in S.tuples for k in t.kets}
-    assert dict(S.holders) == {
-        k: [t for t, tup in enumerate(S.tuples) if k in tup.kets] for k in kets
+    for name, reference in FACT_REFERENCES.items():
+        assert getattr(S, name) == reference(S), name
+    partners = reference_partners(S)
+    for t in range(len(S.tuples)):
+        assert S.shares(t) == {u: len(kets) for u, kets in partners[t].items()}
+    assert S.sharing() == {t for t, ps in enumerate(partners) if len(ps) > 1}
+
+
+def _is_prime(n):
+    """Miller-Rabin on the primes below 42: exact for n < 3.3 * 10^24."""
+    bases = [q for q in range(2, 42) if all(q % f for f in range(2, q))]
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        state_sets(weights=(2, 3, 4), min_dim=3),
+        overlapping_sets(max_tuples=4),
+        mixed_sets(),
+    )
+)
+def test_field_matches_its_definition(S):
+    """(L, p, r): L the lcm of the weights, p a prime above the norm bound
+    of every two weights' overlaps, r of multiplicative order L mod p."""
+    order, prime, root = S.field
+    weights = {t.weight for t in S.tuples}
+    assert order == math.lcm(*weights)
+    assert prime < 3 * 10**24 and _is_prime(prime)
+    assert all(
+        prime > norm_bound(math.lcm(a, b), min(a, b)) for a in weights for b in weights
+    )
+    assert [e for e in range(1, order + 1) if pow(root, e, prime) == 1] == [order]
+
+
+def test_every_cached_fact_has_a_reference():
+    facts = {
+        name for name, v in vars(StateSet).items() if isinstance(v, cached_property)
     }
-    assert list(S.coordinately_different) == [
-        all(len({k[axis] for k in t.kets}) == t.weight for axis in range(3))
-        for t in S.tuples
-    ]
+    assert facts == FACT_REFERENCES.keys() | FACT_TESTS.keys()
+    assert all(callable(globals().get(test)) for test in FACT_TESTS.values())
 
 
 @settings(**SETTINGS)

@@ -109,7 +109,7 @@ class TestInnerProduct:
         assert not states_orthogonal(plus, plus)
 
 
-class TestPartners:
+class TestShares:
     # two weight-3 tuples through (0, 0, 0) and (1, 1, 1), and a third
     # that meets neither
     A = (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2))
@@ -117,23 +117,23 @@ class TestPartners:
     C = (Ket(0, 1, 2), Ket(1, 2, 0), Ket(2, 1, 0))
     S = StateSet(D3, (GhzTuple(3, A), GhzTuple(3, B), GhzTuple(3, C)))
 
-    def test_shared_kets_by_value(self):
-        shared = frozenset({Ket(0, 0, 0), Ket(1, 1, 1)})
-        assert self.S.partners == (
-            {0: frozenset(self.A), 1: shared},
-            {0: shared, 1: frozenset(self.B)},
-            {2: frozenset(self.C)},
-        )
+    def test_shares_by_value(self):
+        # each tuple shares its own 3 kets with itself
+        assert [self.S.shares(t) for t in range(3)] == [
+            {0: 3, 1: 2},
+            {0: 2, 1: 3},
+            {2: 3},
+        ]
 
-    def test_read_only(self):
-        with pytest.raises(TypeError):
-            self.S.partners[0][2] = frozenset()
+    def test_sharing_by_value(self):
+        assert self.S.sharing() == {0, 1}
+        assert StateSet(D3, self.S.tuples[1:]).sharing() == set()
 
 
 class TestHolders:
-    # the set of TestPartners: two weight-3 tuples through (0, 0, 0) and
+    # the set of TestShares: two weight-3 tuples through (0, 0, 0) and
     # (1, 1, 1), and a third that meets neither
-    S = TestPartners.S
+    S = TestShares.S
 
     def test_holders_by_value(self):
         assert dict(self.S.holders) == {
