@@ -17,7 +17,6 @@ from .oracle import (
     build_systems,
     nullspace,
     oracle_all,
-    oracle_verdict,
 )
 from .state_model import (
     GhzTuple,
@@ -31,7 +30,6 @@ from .state_model import (
     check_mutual_orthogonality,
     check_plane_containing,
     check_special_set,
-    coordinate_set,
     expand_set,
     expand_tuple,
     parse_state_set,

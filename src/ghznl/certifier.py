@@ -7,9 +7,11 @@ nullspace oracle decides the defining property directly, so when both run the
 oracle's verdict wins.
 
 The per-set facts every check and the oracle read (the number of states,
-tuple offsets, the tuples holding each ket, coordinately-different flags,
-the prime field) are cached properties of the StateSet, so one certify
-computes each of them once.
+tuple offsets, the tuples holding each ket, per-axis spread bits, the
+prime field) are cached properties of the StateSet, so one certify
+computes each of them once.  The report's partitions map each cut to its
+component count, from one graphs.component_counts walk over the kets; the
+path graph has the same count, so the report writes it for both.
 """
 
 from __future__ import annotations
@@ -81,19 +83,9 @@ class HypothesisResults:
 
 
 @dataclass
-class PartitionAnalysis:
-    partition: Partition
-    full_components: int
-
-    @property
-    def full_connected(self) -> bool:
-        return self.full_components <= 1
-
-
-@dataclass
 class CertReport:
     hypotheses: HypothesisResults
-    partitions: dict[Partition, PartitionAnalysis]
+    partitions: dict[Partition, int]
     applied_theorem: Optional[int]
     graph_verdict: Verdict
     verdict: Verdict
@@ -112,26 +104,17 @@ def check_hypotheses(S: StateSet) -> HypothesisResults:
     )
 
 
-def _analyze_partitions(S: StateSet) -> dict[Partition, PartitionAnalysis]:
-    """Component counts of the three cuts, counted from the kets in one
-    walk by `graphs.component_counts`; no graph is built.  The path graph
-    has the same count as the full graph, so the report writes this one
-    count for both."""
-    return {p: PartitionAnalysis(p, n) for p, n in component_counts(S).items()}
-
-
 def certify_via_graphs(S: StateSet) -> CertReport:
     """Apply the connectivity criterion and report the certificate."""
     hyp = check_hypotheses(S)
-    parts = _analyze_partitions(S)
-    all_connected = all(a.full_connected for a in parts.values())
+    parts = component_counts(S)
     notes: list[str] = []
     if not hyp.theorems_apply:
         notes.extend(f"hypothesis failed: {c}" for c in hyp.failed_checks())
         return CertReport(hyp, parts, None, Verdict.HYPOTHESES_VIOLATED,
                           Verdict.HYPOTHESES_VIOLATED, notes=notes)
     theorem = 1 if {t.weight for t in S.tuples} <= {2} else 2
-    if all_connected:
+    if all(n <= 1 for n in parts.values()):
         verdict = Verdict.STRONGEST_NONLOCAL
     elif theorem == 1:
         verdict = Verdict.NOT_STRONGEST_NONLOCAL
@@ -152,10 +135,10 @@ def certify(S: StateSet, method: str = "both", force: bool = False) -> CertRepor
     and records agreement; 'oracle' does the same as 'both', since the graph
     route's hypotheses and partitions go into every report.  The oracle
     verdict takes precedence whenever it ran.  Every check and the oracle
-    read the set's cached facts (S.n_states, S.first, S.holders,
-    S.coordinately_different, S.field), so each is computed at most once
-    per set.  Each cut skips every non-orthogonal ordered state pair, and
-    the skip note counts them per cut.
+    read the set's cached facts (S.n_states, S.first, S.holders, S.spread,
+    S.field), so each is computed at most once per set.  Each cut skips
+    every non-orthogonal ordered state pair, and the skip note counts them
+    per cut.
     """
     if method not in ("graph", "oracle", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -209,12 +192,12 @@ def report_to_dict(report: CertReport) -> dict:
         },
         "partitions": {
             p.value: {
-                "full_components": a.full_components,
-                "path_components": a.full_components,
-                "full_connected": a.full_connected,
-                "path_connected": a.full_connected,
+                "full_components": n,
+                "path_components": n,
+                "full_connected": n <= 1,
+                "path_connected": n <= 1,
             }
-            for p, a in report.partitions.items()
+            for p, n in report.partitions.items()
         },
         "notes": report.notes,
     }

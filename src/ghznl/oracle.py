@@ -37,8 +37,9 @@ theorems.  Tuple pairs sharing a ket (where some pairs may be skipped)
 keep one row per state pair.
 
 Same-tuple blocks.  Call a tuple spread on the cut when its kets' cut
-coordinates are pairwise distinct (every coordinately different tuple is
-spread on every cut), and let q_m be the joint kept index of its ket k_m.
+coordinates are pairwise distinct (bit cut_axis of its S.spread; a
+coordinately different tuple, 0b111, is spread on every cut), and let q_m
+be the joint kept index of its ket k_m.
 For states n != n' of a spread tuple only the m = m' terms survive, so
 the pair's row is sum_m omega^(m (n' - n)) E[q_m, q_m]: row k = n' - n != 0
 of F_w, mapped by e_m -> E[q_m, q_m].  Each such row sums to 0, and F_w is
@@ -202,7 +203,7 @@ def build_systems(
     dims = S.dims.as_tuple()
     d1, d2, d3 = dims
     order, prime, root = S.field
-    tuples, cd, sharing = S.tuples, S.coordinately_different, S.sharing()
+    tuples, spread, sharing = S.tuples, S.spread, S.sharing()
     # the mask of kept indices met at each (bounds-checked) cut coordinate:
     # j*d3 + k at i on A, k*d1 + i at j on B, i*d2 + j at k on C
     ma, mb, mc = [0] * d1, [0] * d2, [0] * d3
@@ -221,7 +222,7 @@ def build_systems(
     ]
     for t, tup in enumerate(tuples):
         kets = tup.kets
-        if cd[t] and t not in sharing:
+        if spread[t] == 0b111 and t not in sharing:
             # spread on every cut, with kept indices distinct from the first
             i, j, k = kets[0]
             a0, b0, c0 = j * d3 + k, k * d1 + i, i * d2 + j
@@ -239,8 +240,8 @@ def build_systems(
             continue
         lone = t not in sharing
         for axis, ka, kb, db, met, zeroed, eq, others in cuts:
-            spread = cd[t] or len({k[axis] for k in kets}) == len(kets)
-            if spread:
+            on = spread[t] >> axis & 1
+            if on:
                 i0 = kets[0][ka] * db + kets[0][kb]
                 for k in kets:
                     i = k[ka] * db + k[kb]
@@ -248,8 +249,8 @@ def build_systems(
                         eq.append((i0, i))
                     if lone:
                         zeroed[i] |= met[k[axis]]
-            if not (spread and lone):
-                others.append((t, spread))
+            if not (on and lone):
+                others.append((t, on))
     roots = [pow(root, e, prime) for e in range(order)]
     split: dict[int, tuple[Counter[int], list[int], int]] = {}
     systems = {}
@@ -416,11 +417,6 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
         side=cs.side,
         witness=witness,
     )
-
-
-def oracle_verdict(S: StateSet, p: Partition, force: bool = False) -> NullspaceResult:
-    """trivial-only iff the constraint nullspace is exactly span(identity)."""
-    return nullspace(build_constraints(S, p, force=force))
 
 
 def oracle_all(S: StateSet, force: bool = False) -> dict[Partition, NullspaceResult]:

@@ -11,11 +11,13 @@ coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.  What the validators, the
 certifier and the oracle all read about a set (its number of states, each
 tuple's first state index, the tuples holding each ket, each tuple's
-coordinately-different flag, the set's field) is a cached property of the
-immutable StateSet, computed on first read.  Only StateSet.holders walks
-the kets to index them.  Which tuples hold a shared ket (StateSet.sharing)
-and how many kets two tuples share (StateSet.shares) are read off that
-index on each call, and so is the plane check, by probing it.
+axes of pairwise distinct coordinates, the set's field) is a cached
+property of the immutable StateSet, computed on first read.  Only
+StateSet.holders walks the kets to index them, and only StateSet.spread
+tells on which axes a tuple is spread.  Which tuples hold a shared ket
+(StateSet.sharing) and how many kets two tuples share (StateSet.shares)
+are read off that index on each call, and so is the plane check, by
+probing it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,6 +56,10 @@ class SystemDims:
         for d in (self.d1, self.d2, self.d3):
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"local dimensions must be integers >= 2, got {d}")
+        # the graph route and the oracle list each cut's da * db kept indices
+        if max(self.d1 * self.d2, self.d2 * self.d3, self.d3 * self.d1) > sys.maxsize:
+            raise ValueError(f"a product of two local dimensions exceeds "
+                             f"{sys.maxsize}, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.d1, self.d2, self.d3)
@@ -86,7 +93,7 @@ class Partition(Enum):
 
 @dataclass(frozen=True)
 class GhzTuple:
-    """w coordinately-different kets; expands to w GHZ-like states."""
+    """w distinct kets; expands to w GHZ-like states."""
 
     weight: int
     kets: tuple[Ket, ...]
@@ -111,10 +118,6 @@ class GhzTuple:
             )
         if len(set(self.kets)) != self.weight:
             raise ValueError(f"tuple kets must be distinct: {self.kets}")
-
-    def is_coordinately_different(self) -> bool:
-        """True iff each party's coordinates are pairwise distinct."""
-        return all(len(set(coords)) == self.weight for coords in zip(*self.kets))
 
 
 @dataclass(frozen=True)
@@ -170,9 +173,15 @@ class StateSet:
         return MappingProxyType(holders)
 
     @cached_property
-    def coordinately_different(self) -> tuple[bool, ...]:
-        """One GhzTuple.is_coordinately_different flag per tuple."""
-        return tuple(t.is_coordinately_different() for t in self.tuples)
+    def spread(self) -> tuple[int, ...]:
+        """Per tuple, bit a is set iff its axis-a coordinates are pairwise
+        distinct (spread on the cut of cut_axis a); 0b111: coordinately different."""
+        spread = []
+        for t in self.tuples:
+            w = t.weight
+            xs, ys, zs = map(set, zip(*t.kets))
+            spread.append((len(xs) == w) | (len(ys) == w) << 1 | (len(zs) == w) << 2)
+        return tuple(spread)
 
     @cached_property
     def field(self) -> tuple[int, int, int]:
@@ -282,12 +291,6 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     return sorted(violations)
 
 
-def coordinate_set(S: StateSet) -> set[tuple[int, int, int]]:
-    """All coordinate triples appearing in any tuple of S: the keys of
-    S.holders."""
-    return set(S.holders)
-
-
 def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     """Lexicographically smallest (i0, j0, k0) whose three coordinate planes
     all lie inside the coordinate set, or None.
@@ -320,13 +323,13 @@ def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
 
 
 def check_special_set(S: StateSet) -> list[int]:
-    """Indices of tuples that are not coordinately different; empty = pass.
-    all() reads the cached flags in C, so a special set runs no Python
-    code per tuple."""
-    flags = S.coordinately_different
-    if all(flags):
+    """Indices of tuples that are not coordinately different (S.spread is
+    not 0b111); empty = pass.  count() reads the cached bits in C, so a
+    special set runs no Python code per tuple."""
+    spread = S.spread
+    if spread.count(0b111) == len(spread):
         return []
-    return [i for i, cd in enumerate(flags) if not cd]
+    return [i for i, s in enumerate(spread) if s != 0b111]
 
 
 def check_genuine_entanglement(s: StateVector) -> bool:

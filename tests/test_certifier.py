@@ -88,20 +88,20 @@ class TestCertifyViaGraphs:
         r = certify_via_graphs(c333())
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert r.applied_theorem == 1
-        assert all(a.full_connected for a in r.partitions.values())
+        assert all(n <= 1 for n in r.partitions.values())
 
     def test_ghz_basis_theorem1_negative(self):
         # the qubit GHZ basis fails: every cut graph splits into two parts
         r = certify_via_graphs(ghz_basis_222())
         assert r.verdict is Verdict.NOT_STRONGEST_NONLOCAL
         assert r.applied_theorem == 1
-        assert all(a.full_components == 2 for a in r.partitions.values())
+        assert all(n == 2 for n in r.partitions.values())
 
     def test_c444_theorem2_positive(self):
         r = certify_via_graphs(c444_weight4())
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
         assert r.applied_theorem == 2
-        assert all(a.full_connected for a in r.partitions.values())
+        assert all(n <= 1 for n in r.partitions.values())
 
     def test_disconnected_high_weight_inconclusive(self):
         # a single weight-4 tuple alone is not plane-containing, so restrict
@@ -175,7 +175,7 @@ class TestCertify:
         # every cut graph splits into two parity components, and the oracle
         # finds a two-dimensional solution space on each cut
         assert r.graph_verdict is Verdict.HYPOTHESES_VIOLATED
-        assert all(a.full_components == 2 for a in r.partitions.values())
+        assert all(n == 2 for n in r.partitions.values())
         assert r.verdict is Verdict.NOT_STRONGEST_NONLOCAL
         assert all(v.dimension == 2 for v in r.oracle.values())
 
@@ -294,31 +294,32 @@ def _forbid(monkeypatch, fn):
     _replace(monkeypatch, fn, stub)
 
 
-def _count_coordinate_checks(monkeypatch) -> list[GhzTuple]:
-    """Record every GhzTuple.is_coordinately_different call."""
+def _count_spread_facts(monkeypatch) -> list[StateSet]:
+    """Record every computation of the cached fact StateSet.spread."""
     calls = []
-    original = GhzTuple.is_coordinately_different
+    fact = vars(StateSet)["spread"]
+    original = fact.func
 
-    def spy(t):
-        calls.append(t)
-        return original(t)
+    def spy(S):
+        calls.append(S)
+        return original(S)
 
-    monkeypatch.setattr(GhzTuple, "is_coordinately_different", spy)
+    monkeypatch.setattr(fact, "func", spy)
     return calls
 
 
 class TestOnePreparationPass:
     def test_certify_prepares_once_and_builds_no_path_graph(self, monkeypatch):
         paths, expanded = [], []
-        checked = _count_coordinate_checks(monkeypatch)
+        computed = _count_spread_facts(monkeypatch)
         _spy(monkeypatch, ghznl.graphs.build_path_graph, paths)
         _spy(monkeypatch, ghznl.state_model.expand_tuple, expanded)
         S = odd_d(5)
         for _ in range(2):
             r = certify(S, method="both")
             assert r.verdict is Verdict.STRONGEST_NONLOCAL
-        # the flags are a cached fact of S: one check per tuple in total
-        assert len(checked) == len(S.tuples)
+        # the spread bits are a cached fact of S: one computation in total
+        assert computed == [S]
         assert paths == []
         # no two tuples share a ket and every tuple is coordinately
         # different, so no state is expanded at all
@@ -331,8 +332,8 @@ class TestOnePreparationPass:
         _spy(monkeypatch, ghznl.graphs.component_counts, walks)
         S = c345()
         r = certify(S, method="both")
-        assert walks == ["_analyze_partitions"]
-        assert {p: a.full_components for p, a in r.partitions.items()} == {
+        assert walks == ["certify_via_graphs"]
+        assert r.partitions == {
             p: connected_components(build_graph(S, p)) for p in Partition
         }
         walks.clear()
@@ -447,5 +448,5 @@ class TestCertifyBuildsNoGraph:
             ghznl.graphs.build_graph(S, Partition.A)
         r = certify(S, method=method)
         assert r.verdict is Verdict.STRONGEST_NONLOCAL
-        assert {p: a.full_components for p, a in r.partitions.items()} == counts
+        assert r.partitions == counts
         assert report_to_dict(r) == before

@@ -106,6 +106,20 @@ class TestCertify:
         assert out == ""
         assert "tuples[0].kets[0]: expected a list of 3 integers" in err
 
+    @pytest.mark.parametrize("command", ["certify", "graph", "oracle"])
+    def test_dims_beyond_an_index_are_invalid(self, tmp_path, capsys, command):
+        # 68 bytes: the graph route's root lists overflowed an index (exit 4)
+        # before SystemDims bounded each product of two dimensions
+        doc = tmp_path / "huge.json"
+        doc.write_text(
+            '{"dims":[100000000000000000000,100000000000000000000,2],"tuples":[]}'
+        )
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith(f"error: {doc}: dims: a product of two local dimensions")
+        assert err.count("\n") == 1
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "certify", "--input", str(tmp_path / "absent.json")

@@ -9,7 +9,6 @@ from ghznl.state_model import (
     check_mutual_orthogonality,
     check_plane_containing,
     check_special_set,
-    coordinate_set,
     write_state_set,
 )
 
@@ -126,7 +125,7 @@ class TestC444Weight4:
         assert c444_weight4().n_states == 64
 
     def test_partitions_full_basis(self):
-        coords = coordinate_set(c444_weight4())
+        coords = set(c444_weight4().holders)
         assert len(coords) == 64
         assert coords == {
             (i, j, k) for i in range(4) for j in range(4) for k in range(4)

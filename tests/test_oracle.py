@@ -12,7 +12,6 @@ from ghznl.oracle import (
     dump_system,
     nullspace,
     oracle_all,
-    oracle_verdict,
 )
 from ghznl.state_model import GhzTuple, Ket, Partition, StateSet, SystemDims
 from test_constructions import without_labels
@@ -266,7 +265,7 @@ class TestOracleVerdict:
             assert r.contains_identity
 
     def test_pair_not_trivial(self):
-        r = oracle_verdict(PAIR222, Partition.A)
+        r = nullspace(build_constraints(PAIR222, Partition.A))
         assert r.dimension == 15
         assert not r.trivial_only
         assert r.n_unknowns == 16
@@ -374,5 +373,5 @@ class TestTiming:
 
         t0 = time.monotonic()
         for p in Partition:
-            assert oracle_verdict(c444_weight4(), p).trivial_only
+            assert nullspace(build_constraints(c444_weight4(), p)).trivial_only
         assert time.monotonic() - t0 < 60.0

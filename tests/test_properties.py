@@ -605,7 +605,7 @@ def test_theorem1_graph_and_oracle_agree(S):
     assert report.applied_theorem == 1
     assert report.agreement is True
     for p in Partition:
-        assert report.partitions[p].full_connected == report.oracle[p].trivial_only
+        assert (report.partitions[p] <= 1) == report.oracle[p].trivial_only
 
 
 # --- Theorem 2's converse on random layered partitions of a product basis --
@@ -874,8 +874,12 @@ FACT_REFERENCES = {
         for tup in S.tuples
         for k in tup.kets
     },
-    "coordinately_different": lambda S: tuple(
-        all(len({k[axis] for k in t.kets}) == t.weight for axis in range(3))
+    "spread": lambda S: tuple(
+        sum(
+            1 << axis
+            for axis in range(3)
+            if all(a[axis] != b[axis] for a, b in itertools.combinations(t.kets, 2))
+        )
         for t in S.tuples
     ),
 }

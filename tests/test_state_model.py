@@ -14,7 +14,6 @@ from ghznl.state_model import (
     check_mutual_orthogonality,
     check_plane_containing,
     check_special_set,
-    coordinate_set,
     expand_tuple,
     genuine_entanglement_census,
     parse_state_set,
@@ -33,6 +32,14 @@ class TestSystemDims:
     def test_rejects_dimension_below_2(self):
         with pytest.raises(ValueError):
             SystemDims(1, 3, 3)
+
+    def test_rejects_dims_beyond_an_index(self):
+        # a cut's kept indices are listed, so da * db must fit an index
+        with pytest.raises(ValueError, match="product of two local dimensions"):
+            SystemDims(10**20, 10**20, 2)
+        with pytest.raises(ValueError, match="product of two local dimensions"):
+            SystemDims(2, 2**62, 2)  # 2**63 is one above sys.maxsize
+        assert SystemDims(2, 2**62 - 1, 2).d2 == 2**62 - 1
 
     def test_bounds(self):
         assert D3.contains(Ket(2, 2, 2))
@@ -66,8 +73,9 @@ class TestGhzTuple:
         assert str(ket) in str(info.value)
 
     def test_coordinately_different(self):
-        assert ghz_pair((0, 0, 0), (1, 1, 1)).is_coordinately_different()
-        assert not ghz_pair((3, 3, 3), (2, 3, 3)).is_coordinately_different()
+        D4 = SystemDims(4, 4, 4)
+        assert StateSet(D4, (ghz_pair((0, 0, 0), (1, 1, 1)),)).spread == (0b111,)
+        assert StateSet(D4, (ghz_pair((3, 3, 3), (2, 3, 3)),)).spread == (0b001,)
 
 
 class TestExpandTuple:
@@ -209,13 +217,13 @@ class TestCoordinateSet:
             for j in range(3)
             for k in range(3)
         } - {(1, 1, 1)}
-        assert coordinate_set(c333()) == expected
+        assert set(c333().holders) == expected
 
     def test_empty_set(self):
-        assert coordinate_set(StateSet(D3, ())) == set()
+        assert set(StateSet(D3, ()).holders) == set()
 
     def test_c345_contains_corner_pair(self):
-        coords = coordinate_set(c345())
+        coords = set(c345().holders)
         assert (0, 0, 0) in coords and (2, 3, 4) in coords
 
 
@@ -234,7 +242,9 @@ class TestPlaneContaining:
         assert check_plane_containing(StateSet(D3, ())) is None
 
     def test_dims_beyond_an_index_without_tuples(self):
-        dims = SystemDims(10**20, 10**20, 2)
+        # the largest dims SystemDims takes: each cut fits an index, but the
+        # 1.8 * 10**19 cells of the space do not
+        dims = SystemDims(3 * 10**9, 3 * 10**9, 2)
         assert check_plane_containing(StateSet(dims, ())) is None
 
     # the full plane i = 10**6 - 1 of (10**6, 2, 2), as two weight-2 tuples:
