@@ -16,7 +16,6 @@ from .oracle import (
     build_constraints,
     build_systems,
     nullspace,
-    oracle_all,
 )
 from .state_model import (
     GhzTuple,

@@ -71,15 +71,21 @@ has one entry (t, i) at x, so its mask there is met[x], every kept index
 met at x, less bit i.  build_systems first checks the unknowns guard on
 cuts A, B and C, so a refusal builds nothing.  It then unpacks each ket
 (i, j, k) once to fill met on all three cuts (kept index j*d3 + k at i on
-A, k*d1 + i at j on B, i*d2 + j at k on C, in Partition.kept_axes order),
-and walks the tuples once: each spread tuple appends its equalities, and
-each one without partners reads i off the ket and ORs met[x] into
-zeroed[i] on every cut where it is spread; the diagonal bits are cleared
-once, at the end.  Only the other tuples, if any, get cut cells and a cut
-index over the cut coordinates their cells meet (x -> each tuple's mask
-at x), per cut, and the roots, once.  nullspace
-adds the popcount of the masks to the rank and P less the number of
-classes of the equalities (arithmetic.union_find), drops the zeroed
+A, k*d1 + i at j on B, i*d2 + j at k on C, in Partition.kept_axes order).
+The others, the tuples in S.sharing() or not spread on some cut, get one
+index per cut over their own kets only, x -> {other: its mask at x}, and
+at each such x the rest's kets (the remaining tuples are no one's
+partners), met[x] less the others' masks, computed once.  It then walks
+the tuples once.  A tuple spread on every cut and without partners reads i
+off each ket, ORs met[x] into zeroed[i] and appends its equalities, on all
+three cuts at once.  An other reads S.shares once; per cut, each of its
+entries (x, i) ORs into zeroed[i] the rest mask at x and the masks of the
+others at x that are not its partners, it appends its equalities if it is
+spread there, and only if it has a block (a partner sharing two or more
+kets, or itself when it is not spread) are its per-pair rows built.  The
+diagonal bits are cleared once, at the end.  nullspace adds the popcount
+of the masks to the rank and P less the number of classes of the
+equalities (arithmetic.union_find), drops the zeroed
 unknowns from the per-pair rows, maps each diagonal unknown to its class
 root (summing coefficients mod p) and brings only those rows to echelon
 form.  That is the rank of the whole system, as no zeroed unknown is
@@ -96,9 +102,9 @@ with bit r clear gives a diagonal one: O(P + rank), no P^2 scan.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Optional
 
 from .arithmetic import SparseEliminator, union_find
@@ -179,7 +185,7 @@ def build_systems(
     difference rows E[q_0, q_0] - E[q_m, q_m], q_m != q_0, which span the
     rows of its own state pairs.  Last, every other ordered pair of distinct
     states (tuples sharing a ket, or two states of a tuple not spread on the
-    cut) gets its own row, built from the two tuples' cut cells.  A
+    cut) gets its own row, built from the two tuples' kets.  A
     non-orthogonal pair carries no orthogonality to preserve, so its row is
     dropped and counted in skipped_pairs; the pair is found from that row's
     trace (its overlap), or, for two tuples that share exactly one ket,
@@ -189,8 +195,8 @@ def build_systems(
     Unless force is set, the first of cuts A, B, C with more than
     RESOURCE_GUARD_UNKNOWNS unknowns is refused before any list is built.
     All three cuts then come from one walk over the kets and one over the
-    tuples (see Presolve), reading S.sharing once and S.shares at most
-    once per tuple.
+    tuples (see Presolve), reading S.sharing once and S.shares once per
+    tuple that shares a ket or is not spread on some cut.
     """
     for p in Partition:
         da, db = p.kept_dims(S.dims)
@@ -203,7 +209,10 @@ def build_systems(
     dims = S.dims.as_tuple()
     d1, d2, d3 = dims
     order, prime, root = S.field
-    tuples, spread, sharing = S.tuples, S.spread, S.sharing()
+    tuples, spread = S.tuples, S.spread
+    roots = [pow(root, e, prime) for e in range(order)]
+    # the others share a ket or are not spread on some cut
+    others = S.sharing().union(t for t, s in enumerate(spread) if s != 0b111)
     # the mask of kept indices met at each (bounds-checked) cut coordinate:
     # j*d3 + k at i on A, k*d1 + i at j on B, i*d2 + j at k on C
     ma, mb, mc = [0] * d1, [0] * d2, [0] * d3
@@ -212,18 +221,31 @@ def build_systems(
             ma[i] |= 1 << j * d3 + k
             mb[j] |= 1 << k * d1 + i
             mc[k] |= 1 << i * d2 + j
-    # a spread tuple gives its equalities, and one without partners ORs
-    # met[x] into its masks, bit i cleared below (see Presolve)
-    za, zb, zc = [0] * (d2 * d3), [0] * (d3 * d1), [0] * (d1 * d2)
-    ea, eb, ec = [], [], []
-    cuts = [  # (axis, ka, kb, db, met, zeroed, equalities, others)
-        (p.cut_axis, *p.kept_axes, dims[p.kept_axes[1]], *lists, [])
-        for p, *lists in zip(Partition, (ma, mb, mc), (za, zb, zc), (ea, eb, ec))
-    ]
+    systems = {
+        p: ConstraintSystem(p, p.kept_dims(S.dims), [], order, prime, root)
+        for p in Partition
+    }
+    cuts = []  # (axis, ka, kb, db, index, rest, system)
+    for (p, cs), met in zip(systems.items(), (ma, mb, mc)):
+        axis, (ka, kb) = p.cut_axis, p.kept_axes
+        db = dims[kb]
+        # x -> {other: its mask at x}, over the others' kets only, and
+        # x -> the rest's kets at x
+        index: dict[int, dict[int, int]] = {}
+        for t in others:
+            for k in tuples[t].kets:
+                at = index.setdefault(k[axis], {})
+                at[t] = at.get(t, 0) | 1 << k[ka] * db + k[kb]
+        rest = {x: met[x] & ~reduce(or_, at.values()) for x, at in index.items()}
+        cuts.append((axis, ka, kb, db, index, rest, cs))
+    # a lone tuple spread on every cut gives its equalities and ORs met[x]
+    # into its masks, bit i cleared below (see Presolve)
+    za, zb, zc = (cs.zeroed for cs in systems.values())
+    ea, eb, ec = (cs.equalities for cs in systems.values())
     for t, tup in enumerate(tuples):
         kets = tup.kets
-        if spread[t] == 0b111 and t not in sharing:
-            # spread on every cut, with kept indices distinct from the first
+        if t not in others:
+            # kept indices distinct from the first on every cut
             i, j, k = kets[0]
             a0, b0, c0 = j * d3 + k, k * d1 + i, i * d2 + j
             za[a0] |= ma[i]
@@ -238,100 +260,65 @@ def build_systems(
                 eb.append((b0, b))
                 ec.append((c0, c))
             continue
-        lone = t not in sharing
-        for axis, ka, kb, db, met, zeroed, eq, others in cuts:
+        # t's partners sharing two or more kets need rows (t among them: it
+        # shares its own w >= 2 kets); the w * w' pairs of each one sharing
+        # one ket have a root of unity as overlap, all skipped
+        ts = S.shares(t)
+        need = sorted(u for u, count in ts.items() if count > 1)
+        skip = tup.weight * sum(tuples[u].weight for u, count in ts.items() if count == 1)
+        for axis, ka, kb, db, index, rest, cs in cuts:
             on = spread[t] >> axis & 1
-            if on:
-                i0 = kets[0][ka] * db + kets[0][kb]
-                for k in kets:
-                    i = k[ka] * db + k[kb]
-                    if i != i0:
-                        eq.append((i0, i))
-                    if lone:
-                        zeroed[i] |= met[k[axis]]
-            if not (on and lone):
-                others.append((t, on))
-    roots = [pow(root, e, prime) for e in range(order)]
-    split: dict[int, tuple[Counter[int], list[int], int]] = {}
-    systems = {}
-    for p, (*_, zeroed, eq, others) in zip(Partition, cuts):
-        rows, skipped = _other_rows(S, p, others, split, roots, zeroed)
-        systems[p] = ConstraintSystem(
-            p, p.kept_dims(S.dims), rows, order, prime, root, skipped,
-            [m & ~(1 << i) for i, m in enumerate(zeroed)], eq,
-        )
+            i0 = kets[0][ka] * db + kets[0][kb]
+            for k in kets:
+                i = k[ka] * db + k[kb]
+                if on and i != i0:
+                    cs.equalities.append((i0, i))
+                # the unit rows E[i, j] = 0 for (u, j) at t's cut
+                # coordinate, u not a partner of t
+                at = index[x := k[axis]]
+                cs.zeroed[i] |= reduce(or_, map(at.get, at.keys() - ts), rest[x])
+            cs.skipped_pairs += skip
+            if blocks := [u for u in need if u != t or not on]:
+                _pair_rows(S, cs, t, blocks, roots)
+    for cs in systems.values():
+        cs.zeroed = [m & ~(1 << i) for i, m in enumerate(cs.zeroed)]
     return systems
 
 
-def _other_rows(S, p, others, split, roots, zeroed):
-    """Cut p's rows of the others, the (tuple, spread) pairs not lone on p:
-    their unit rows are ORed into zeroed, and their per-pair rows and skip
-    count are returned (see Presolve and Per-pair rows).  split caches,
-    across the cuts, each tuple's S.shares, its partners that need rows
-    and the count of its one-shared-ket pairs."""
-    if not others:
-        return [], 0
-    order, prime, _ = S.field
-    tuples = S.tuples
-    axis, (ka, kb) = p.cut_axis, p.kept_axes
-    db, P = S.dims.as_tuple()[kb], len(zeroed)
-    # the others' cells in ket order (a partner of one of the others is one
-    # of them too), and the cut index of the cut coordinates they meet:
-    # x -> {tuple: mask of its kept indices at x}
-    cells = {t: [(k[axis], k[ka] * db + k[kb]) for k in tuples[t].kets]
-             for t, _ in others}
-    index: dict[int, dict[int, int]] = {x: {} for c in cells.values() for x, _ in c}
-    for t, tup in enumerate(tuples):
-        for k in tup.kets:
-            if (at := index.get(k[axis])) is not None:
-                at[t] = at.get(t, 0) | 1 << k[ka] * db + k[kb]
-    rows: list[dict[int, int]] = []
-    skipped = 0
-    for t, spread in others:
-        tup = tuples[t]
-        if t not in split:
-            # t's partners sharing two or more kets need rows (t among them:
-            # it shares its own w >= 2 kets); the w * w' pairs of each one
-            # sharing one ket have a root of unity as overlap, all skipped
-            ts = S.shares(t)
-            need = sorted(u for u, count in ts.items() if count > 1)
-            one = sum(tuples[u].weight for u, count in ts.items() if count == 1)
-            split[t] = ts, need, tup.weight * one
-        ts, need, skip = split[t]
-        # the unit rows E[i, j] = 0 for (t, i), (u, j) at one cut
-        # coordinate, u not a partner of t
-        for x, i in cells[t]:
-            at = index[x]
-            for u in at.keys() - ts:
-                zeroed[i] |= at[u]
-        # per-pair rows of t's partners and, if t is not spread, its own:
-        # meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
-        skipped += skip
-        st = order // tup.weight
-        blocks = [
-            (u, [
-                (i * P + j, m * st, mu * (order // tuples[u].weight))
-                for m, (x, i) in enumerate(cells[t])
-                for mu, (y, j) in enumerate(cells[u])
-                if x == y
-            ])
-            for u in need
-            if u != t or not spread
-        ]
-        for n in range(tup.weight):
-            for u, meets in blocks:
-                for nu in range(tuples[u].weight):
-                    if u == t and nu == n:
-                        continue
-                    row: dict[int, int] = {}
-                    for k, a, b in meets:
-                        row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
-                    # the trace, on the diagonal unknowns k*(P+1), is the overlap
-                    if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
-                        skipped += 1
-                        continue
-                    rows.append({k: r for k, v in row.items() if (r := v % prime)})
-    return rows, skipped
+def _pair_rows(S, cs, t, blocks, roots):
+    """Append to cs the per-pair rows of tuple t's states with each block
+    u's (t's own if t is among them), skipping and counting the
+    non-orthogonal pairs (see Per-pair rows); roots[e] is r^e mod p."""
+    tuples, order, prime, P = S.tuples, cs.order, cs.prime, cs.side
+    p = cs.partition
+    axis, (ka, kb), db = p.cut_axis, p.kept_axes, cs.kept_dims[1]
+
+    def cells(u):
+        return [(k[axis], k[ka] * db + k[kb]) for k in tuples[u].kets]
+
+    # meets lists (E[q_m, q'_m'], m L/w_t, m' L/w_u)
+    w, mine, meets = tuples[t].weight, cells(t), []
+    for u in blocks:
+        su, theirs = order // tuples[u].weight, cells(u)
+        meets.append((u, [
+            (i * P + j, m * (order // w), mu * su)
+            for m, (x, i) in enumerate(mine)
+            for mu, (y, j) in enumerate(theirs)
+            if x == y
+        ]))
+    for n in range(w):
+        for u, meet in meets:
+            for nu in range(tuples[u].weight):
+                if u == t and nu == n:
+                    continue
+                row: dict[int, int] = {}
+                for k, a, b in meet:
+                    row[k] = row.get(k, 0) + roots[(b * nu - a * n) % order]
+                # the trace, on the diagonal unknowns k*(P+1), is the overlap
+                if sum(v for k, v in row.items() if k % (P + 1) == 0) % prime:
+                    cs.skipped_pairs += 1
+                    continue
+                cs.pair_rows.append({k: r for k, v in row.items() if (r := v % prime)})
 
 
 def build_constraints(
@@ -417,12 +404,6 @@ def nullspace(cs: ConstraintSystem) -> NullspaceResult:
         side=cs.side,
         witness=witness,
     )
-
-
-def oracle_all(S: StateSet, force: bool = False) -> dict[Partition, NullspaceResult]:
-    """Strongest-nonlocal overall iff every partition reports trivial-only;
-    the three systems come from one build_systems call."""
-    return {p: nullspace(cs) for p, cs in build_systems(S, force).items()}
 
 
 def dump_system(cs: ConstraintSystem) -> str:

@@ -14,7 +14,7 @@ from ghznl.graphs import (
     build_path_graph,
     connected_components,
 )
-from ghznl.oracle import build_constraints, nullspace, oracle_all
+from ghznl.oracle import build_constraints, nullspace
 from ghznl.state_model import (
     Partition,
     check_genuine_entanglement,
@@ -23,6 +23,7 @@ from ghznl.state_model import (
 )
 
 import test_properties
+from test_certifier import nullspaces
 from test_constructions import without_labels
 
 
@@ -76,7 +77,7 @@ def test_criterion_3_oracle_trivial_only():
         small = [c333(), c345(), even_d(4), c444_weight4()]
         for S in small:
             t0 = time.monotonic()
-            results = oracle_all(S)
+            results = nullspaces(S)
             for r in results.values():
                 assert r.dimension == 1
                 assert r.contains_identity
@@ -84,7 +85,7 @@ def test_criterion_3_oracle_trivial_only():
             assert time.monotonic() - t0 < 5.0
         for S in (odd_d(5), odd_d(7), odd_d(9), even_d(8), even_d(10)):
             t0 = time.monotonic()
-            for r in oracle_all(S).values():
+            for r in nullspaces(S).values():
                 assert r.dimension == 1 and r.contains_identity
             assert time.monotonic() - t0 < 60.0
 
@@ -107,7 +108,7 @@ def test_criterion_4_equivalence_and_ablation():
         ablated = without_labels(even_d(4), ["S4", "S5"])
         for p in Partition:
             assert connected_components(build_graph(ablated, p)) == 2
-        results = oracle_all(ablated)
+        results = nullspaces(ablated)
         assert any(r.dimension >= 2 for r in results.values())
         assert all(r.dimension == 2 for r in results.values())
         # the odd family keeps dimension 1 without its diagonal pair: the
@@ -117,7 +118,7 @@ def test_criterion_4_equivalence_and_ablation():
             for p in Partition:
                 assert connected_components(build_graph(pruned, p)) <= 1
             assert all(
-                r.dimension == 1 for r in oracle_all(pruned).values()
+                r.dimension == 1 for r in nullspaces(pruned).values()
             )
 
 
@@ -150,7 +151,7 @@ def test_criterion_6_entanglement_census():
         for t in S4.tuples:
             flat.extend([t.label] * t.weight)
         assert [flat[i] for i in failures] == ["S5", "S5"]
-        for r in oracle_all(S4).values():
+        for r in nullspaces(S4).values():
             assert r.dimension == 1
 
 

@@ -20,7 +20,7 @@ from ghznl.certifier import (
 )
 from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.graphs import build_graph, connected_components
-from ghznl.oracle import build_constraints, oracle_all
+from ghznl.oracle import build_constraints, build_systems, nullspace
 from ghznl.state_model import (
     GhzTuple,
     Ket,
@@ -42,6 +42,11 @@ def one_common_ket_fan(n):
         SystemDims(n + 1, 3, 3),
         tuple(GhzTuple(2, (Ket(0, 0, 0), Ket(t + 1, 1, 1))) for t in range(n)),
     )
+
+
+def nullspaces(S):
+    """Each cut's NullspaceResult, from one build_systems call."""
+    return {p: nullspace(cs) for p, cs in build_systems(S).items()}
 
 
 def ghz_basis_222():
@@ -350,7 +355,7 @@ class TestOnePreparationPass:
         builds = []
         _spy(monkeypatch, ghznl.oracle.build_systems, builds)
         r = certify(c345(), method="both")
-        assert builds == ["oracle_all"]
+        assert builds == ["certify"]
         assert list(r.oracle) == list(Partition)
         builds.clear()
         code = ghznl.cli.main(
@@ -366,7 +371,7 @@ class TestOnePreparationPass:
         # pairs per cut and 2 per-pair rows on cuts B and C
         S = even_d(4)
         _forbid(monkeypatch, ghznl.state_model.expand_tuple)
-        results = oracle_all(S)
+        results = nullspaces(S)
         assert {p: r.skipped_pairs for p, r in results.items()} == dict.fromkeys(
             Partition, 16
         )

@@ -9,17 +9,24 @@ from ghznl.oracle import (
     ResourceGuardError,
     SparseEliminator,
     build_constraints,
+    build_systems,
     dump_system,
     nullspace,
-    oracle_all,
 )
 from ghznl.state_model import GhzTuple, Ket, Partition, StateSet, SystemDims
+from test_certifier import nullspaces, one_common_ket_fan
 from test_constructions import without_labels
 
 D2 = SystemDims(2, 2, 2)
 D3 = SystemDims(3, 3, 3)
 
 PAIR222 = StateSet(D2, (GhzTuple(2, (Ket(0, 0, 0), Ket(1, 1, 1))),))
+# two lone tuples; the first has two kets at cut coordinate 0 of cut A (not
+# spread there) and meets the second at cut coordinate 1
+LONE_UNSPREAD = StateSet(D3, (
+    GhzTuple(3, (Ket(0, 0, 0), Ket(0, 1, 1), Ket(1, 2, 2))),
+    GhzTuple(2, (Ket(2, 0, 1), Ket(1, 1, 0))),
+))
 OFF_DIAGONAL_9 = {u for u in range(81) if u % 10}
 
 
@@ -131,6 +138,22 @@ class TestBuildConstraints:
         # the 16 cross pairs of the ket-sharing tuples are all skipped
         assert len(unit_rows(cs)) == 240
         assert len(cs.rows) == 240 + 28
+
+    def test_shares_is_read_once_per_other_tuple(self, monkeypatch):
+        # one build reads S.shares once per tuple that shares a ket or is
+        # not spread on some cut, for all three cuts, and never for a lone
+        # tuple spread on every cut
+        calls = []
+        shares = StateSet.shares
+        monkeypatch.setattr(
+            StateSet, "shares", lambda S, t: calls.append(t) or shares(S, t)
+        )
+        for S, others in (
+            (even_d(4), [16, 17, 27, 28]), (c333(), []), (LONE_UNSPREAD, [0]),
+        ):
+            calls.clear()
+            build_systems(S)
+            assert sorted(calls) == others
 
 
 P7 = 7
@@ -258,7 +281,7 @@ class TestNullspace:
 
 class TestOracleVerdict:
     def test_c333_all_cuts_trivial(self):
-        for p, r in oracle_all(c333()).items():
+        for p, r in nullspaces(c333()).items():
             assert r.partition is p
             assert r.dimension == 1
             assert r.trivial_only
@@ -272,14 +295,14 @@ class TestOracleVerdict:
         assert r.n_rows == 1
 
     def test_even4_skip_mode(self):
-        for r in oracle_all(even_d(4)).values():
+        for r in nullspaces(even_d(4)).values():
             assert r.dimension == 1
             assert r.trivial_only
             assert r.contains_identity
             assert r.skipped_pairs == 16
 
     def test_c345_kept_dims_differ_by_cut(self):
-        results = oracle_all(c345())
+        results = nullspaces(c345())
         assert {p: r.n_unknowns for p, r in results.items()} == {
             Partition.A: 400,
             Partition.B: 225,
@@ -318,8 +341,10 @@ class TestIdentityAndDagger:
 
 
 class TestDumpSystem:
-    # sha256 of dump_system on each cut of the paper's families; a change
-    # that reorders or alters any row of a system changes its digest
+    # sha256 of dump_system on each cut of the paper's families, of a fan
+    # whose every tuple shares a ket and of a lone tuple not spread on cut
+    # A; a change that reorders or alters any row of a system changes its
+    # digest
     DIGESTS = {
         ("c333", "A"): "04d022191128e83b336037f496616cac33cf5337c69a15441c448f818f7a670e",
         ("c333", "B"): "03b7db9a0550f68bfe7932735b9c5a5ab307c8b6ad2636633d9fd9e2412c8692",
@@ -336,10 +361,17 @@ class TestDumpSystem:
         ("odd5", "A"): "036a62f65cb1935a0152c80ea28db16d7f9f24c6349bf79e50c0f05357d73326",
         ("odd5", "B"): "ac48d0a3431bf80a85eb7639f851af55c1a3b4abbc362febdbf7ed847040c709",
         ("odd5", "C"): "30441c3a9631a404dc2ecb0adc9817f1147690d9997e7f540dd1c408e5ed8b5c",
+        ("fan5", "A"): "f8f2571ea2372c367aa53e4dd8d5de6c5d6463f57725e7f229abe087abe4e48c",
+        ("fan5", "B"): "87560aaeaad3ff4e694d412acb30656aaa198793cb065cbbb8a30aef5bea7f91",
+        ("fan5", "C"): "ab9af333fb69ef9c9f048c12ab65f4c1393e19d1ab61a3f0ba0e79296ed0ee7c",
+        ("lone-unspread", "A"): "5fc94c5098b240d7afd77063d95ca9d6a3398ef3b79361390f75992b9d01175a",
+        ("lone-unspread", "B"): "6988e6b75dfc089b65dc49a6a3b8f30c29f4f19699da2f081e6a259673036e1f",
+        ("lone-unspread", "C"): "922aa869d413120883411757a49e0c00860906c7321eaac659ce3f23119341e4",
     }
     FAMILIES = {
         "c333": c333, "c345": c345, "c444w4": c444_weight4,
         "even4": lambda: even_d(4), "odd5": lambda: odd_d(5),
+        "fan5": lambda: one_common_ket_fan(5), "lone-unspread": lambda: LONE_UNSPREAD,
     }
 
     @pytest.mark.parametrize("name, cut", sorted(DIGESTS))

@@ -17,7 +17,7 @@ from ghznl.graphs import (
     component_counts,
     connected_components,
 )
-from ghznl.oracle import build_constraints, build_systems, nullspace, oracle_all
+from ghznl.oracle import build_constraints, build_systems, nullspace
 from ghznl.state_model import (
     GhzTuple,
     Ket,
@@ -32,6 +32,7 @@ from ghznl.state_model import (
     parse_state_set,
     write_state_set,
 )
+from test_certifier import nullspaces
 
 SETTINGS = dict(max_examples=200, deadline=None)
 
@@ -674,7 +675,7 @@ def test_theorem2_converse_dimension_equals_component_count(S):
     dimension is its graph's component count: connectivity decides the
     trivial-only property both ways, not only for weight 2."""
     assume(check_hypotheses(S).theorems_apply)
-    results = oracle_all(S)
+    results = nullspaces(S)
     counts = component_counts(S)
     for p in Partition:
         assert results[p].dimension == counts[p]
@@ -758,6 +759,31 @@ def mixed_sets(draw):
         members = draw(st.lists(st.sampled_from(kets), min_size=w, max_size=w, unique=True))
         extra.append(GhzTuple(w, tuple(members)))
     return StateSet(S.dims, S.tuples + tuple(extra))
+
+
+@st.composite
+def common_ket_fans(draw):
+    """2-12 tuples of weight 2-3 through one common ket, their other kets
+    drawn freely (so two of them may share a second ket), alone in dims
+    3-5 or added to a layered partition whose kets they may repeat."""
+    if draw(st.booleans()):
+        S = draw(layered_partitions())
+        dims, tuples = S.dims, S.tuples
+    else:
+        dims, tuples = SystemDims(*(draw(st.integers(3, 5)) for _ in range(3))), ()
+    kets = st.builds(Ket, *(st.integers(0, d - 1) for d in dims.as_tuple()))
+    hub = draw(kets)
+    fan = []
+    for _ in range(draw(st.integers(2, 12))):
+        w = draw(st.integers(2, min(3, *dims.as_tuple())))
+        rest = draw(
+            st.lists(
+                kets.filter(lambda k: k != hub), min_size=w - 1, max_size=w - 1,
+                unique=True,
+            )
+        )
+        fan.append(GhzTuple(w, (hub, *rest)))
+    return StateSet(dims, tuples + tuple(fan))
 
 
 @st.composite
@@ -1006,6 +1032,7 @@ def test_component_count_matches_breadth_first_search(S):
         mixed_sets(),
         one_shared_ket_sets(),
         layered_partitions(),
+        common_ket_fans(),
     )
 )
 def test_constraint_build_matches_general_builder(S):
