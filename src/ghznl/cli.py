@@ -74,8 +74,8 @@ def _add_force_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_set(args) -> tuple[StateSet, str]:
-    """Resolve the input set and the document text it is hashed from."""
+def _load_set(args) -> tuple[StateSet, Optional[str]]:
+    """The input set, and the text read for --input (None for --construction)."""
     if (args.input is None) == (args.construction is None):
         raise CliError("exactly one of --input or --construction is required")
     if args.input is not None:
@@ -93,7 +93,7 @@ def _load_set(args) -> tuple[StateSet, str]:
         S = constructions.build(args.construction, args.d)
     except ValueError as e:
         raise CliError(str(e)) from e
-    return S, write_state_set(S)
+    return S, None
 
 
 def _partitions(selector: str) -> list[Partition]:
@@ -103,7 +103,8 @@ def _partitions(selector: str) -> list[Partition]:
 
 
 def cmd_generate(args) -> int:
-    S, text = _load_set(args)
+    S, _ = _load_set(args)
+    text = write_state_set(S)
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
     else:
@@ -118,6 +119,7 @@ def cmd_generate(args) -> int:
 
 def cmd_certify(args) -> int:
     S, text = _load_set(args)
+    text = write_state_set(S) if text is None else text
     report = certify(S, method=args.method, force=args.force)
     doc = report_to_dict(report)
     doc["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -3,9 +3,10 @@
 A state set is a list of weight-w tuples of computational kets; each tuple
 expands into w mutually orthonormal states whose coefficients are the rows of
 the w-dimensional Fourier matrix, scaled by 1/sqrt(w).  Every coefficient is
-a root of unity, so a state stores only its exponents.  Orthogonality is
-decided exactly from the kets, in the set's one prime field (StateSet.field,
-from arithmetic.py), and Schmidt rank from the exponents alone.
+a root of unity, omega_w^(m n) on the m-th ket of state n, so no validator
+expands a state: orthogonality is decided exactly from the kets, in the
+set's one prime field (StateSet.field, from arithmetic.py), and Schmidt
+rank from the kets and exponents m n mod w (check_genuine_entanglement).
 Validators cover every hypothesis the connectivity theorems need:
 coordinate-distinctness ("special set"), mutual orthogonality, plane
 containment, and genuine entanglement.  What the validators, the
@@ -79,11 +80,6 @@ class Partition(Enum):
         self.cut_axis = "ABC".index(value)
         # axes of the two non-cut parties, in the paper's vertex order
         self.kept_axes = ((self.cut_axis + 1) % 3, (self.cut_axis + 2) % 3)
-
-    def project(self, ket: Ket) -> tuple[int, int]:
-        """Joint coordinates of the two non-cut parties."""
-        a, b = self.kept_axes
-        return (ket[a], ket[b])
 
     def kept_dims(self, dims: SystemDims) -> tuple[int, int]:
         a, b = self.kept_axes
@@ -332,32 +328,33 @@ def check_special_set(S: StateSet) -> list[int]:
     return [i for i, s in enumerate(spread) if s != 0b111]
 
 
-def check_genuine_entanglement(s: StateVector) -> bool:
-    """True iff the Schmidt rank is >= 2 across all three bipartitions.
+def check_genuine_entanglement(t: GhzTuple, n: int) -> bool:
+    """True iff state n of tuple t, sum_m omega_w^(m n) |k_m> / sqrt(w), has
+    Schmidt rank >= 2 across all three bipartitions, read off t.kets.
 
-    Across a cut the state is a matrix M[x, y] = omega^e(x, y) on its
-    support (x the cut party's coordinate, y the other two).  Every 2x2
-    minor omega^a omega^d - omega^b omega^c vanishes iff a + d = b + c
-    (mod order), so M has rank 1 exactly when its support is a full
-    rectangle X x Y and e(x, y) + e(x0, y0) = e(x, y0) + e(x0, y) for one
-    fixed cell (x0, y0) and every cell (x, y): then M[x, y] is the product
+    Across a cut the state is a matrix M[x, y] = omega_w^e(x, y), one cell
+    per ket k_m: x = k_m[cut_axis], y its two kept coordinates, e = m n
+    mod w.  Every 2x2 minor omega^a omega^d - omega^b omega^c vanishes iff
+    a + d = b + c (mod w), so M has rank 1 exactly when its support is a
+    full rectangle X x Y, which for w distinct kets means w == |X| |Y|,
+    and e(x, y) + e(x0, y0) = e(x, y0) + e(x0, y) for one fixed cell
+    (x0, y0) and every cell (x, y): then M[x, y] is the product
     omega^e(x, y0) * omega^(e(x0, y) - e(x0, y0)).  No arithmetic beyond
     the exponents is needed.
     """
-    if not s.exponents:
-        raise ValueError("check_genuine_entanglement requires a nonzero state")
+    w = t.weight
     for part in Partition:
+        a, b = part.kept_axes
         cells = {
-            (ket[part.cut_axis], part.project(ket)): e
-            for ket, e in s.exponents.items()
+            (k[part.cut_axis], (k[a], k[b])): m * n % w for m, k in enumerate(t.kets)
         }
         xs = {x for x, _ in cells}
         ys = {y for _, y in cells}
-        if len(cells) != len(xs) * len(ys):
+        if w != len(xs) * len(ys):
             continue
         (x0, y0), e0 = next(iter(cells.items()))
         if all(
-            (e + e0 - cells[x, y0] - cells[x0, y]) % s.order == 0
+            (e + e0 - cells[x, y0] - cells[x0, y]) % w == 0
             for (x, y), e in cells.items()
         ):
             return False
@@ -370,17 +367,17 @@ def genuine_entanglement_census(S: StateSet) -> list[int]:
     A coordinately different tuple of weight w >= 2 puts, on every cut, its
     w cells in w distinct rows and w distinct columns of the cut matrix, so
     its support is never a full rectangle and all w of its states have
-    Schmidt rank >= 2 on every cut.  Only the states of the other tuples
-    are checked.
+    Schmidt rank >= 2 on every cut.  Only the rows of the other tuples
+    (S.spread is not 0b111) are checked, each from its tuple's kets.
     """
-    failures: list[int] = []
-    for t in check_special_set(S):
-        failures.extend(
-            S.first[t] + n
-            for n, s in enumerate(expand_tuple(S.tuples[t], S.dims))
-            if not check_genuine_entanglement(s)
-        )
-    return failures
+    tuples, first = S.tuples, S.first
+    return [
+        first[t] + n
+        for t, spread in enumerate(S.spread)
+        if spread != 0b111
+        for n in range(tuples[t].weight)
+        if not check_genuine_entanglement(tuples[t], n)
+    ]
 
 
 def write_state_set(S: StateSet) -> str:

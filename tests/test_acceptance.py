@@ -18,7 +18,6 @@ from ghznl.oracle import build_constraints, nullspace
 from ghznl.state_model import (
     Partition,
     check_genuine_entanglement,
-    expand_set,
     genuine_entanglement_census,
 )
 
@@ -140,7 +139,9 @@ def test_criterion_6_entanglement_census():
         for S in clean:
             assert genuine_entanglement_census(S) == []
             assert all(
-                check_genuine_entanglement(s) for s in expand_set(S)
+                check_genuine_entanglement(t, n)
+                for t in S.tuples
+                for n in range(t.weight)
             )
         S4 = even_d(4)
         failures = genuine_entanglement_census(S4)

@@ -35,6 +35,17 @@ D2 = SystemDims(2, 2, 2)
 
 PAIR222 = StateSet(D2, (GhzTuple(2, (Ket(0, 0, 0), Ket(1, 1, 1))),))
 
+# two weight-3 tuples whose first two kets differ on axis A only: the first
+# is spread on axis A alone and all three of its rows are product states,
+# the second is entangled on every cut
+COLLAPSED_W3 = StateSet(
+    SystemDims(3, 3, 3),
+    (
+        GhzTuple(3, (Ket(0, 0, 0), Ket(1, 0, 0), Ket(2, 0, 0))),
+        GhzTuple(3, (Ket(0, 1, 1), Ket(1, 1, 1), Ket(2, 2, 2))),
+    ),
+)
+
 
 def one_common_ket_fan(n):
     """n weight-2 tuples through the one common ket (0, 0, 0), in (n+1)x3x3."""
@@ -315,10 +326,9 @@ def _count_spread_facts(monkeypatch) -> list[StateSet]:
 
 class TestOnePreparationPass:
     def test_certify_prepares_once_and_builds_no_path_graph(self, monkeypatch):
-        paths, expanded = [], []
+        paths = []
         computed = _count_spread_facts(monkeypatch)
         _spy(monkeypatch, ghznl.graphs.build_path_graph, paths)
-        _spy(monkeypatch, ghznl.state_model.expand_tuple, expanded)
         S = odd_d(5)
         for _ in range(2):
             r = certify(S, method="both")
@@ -326,9 +336,25 @@ class TestOnePreparationPass:
         # the spread bits are a cached fact of S: one computation in total
         assert computed == [S]
         assert paths == []
-        # no two tuples share a ket and every tuple is coordinately
-        # different, so no state is expanded at all
-        assert expanded == []
+
+    @pytest.mark.parametrize(
+        "S, failures",
+        [
+            (PAIR222, []),
+            (c333(), []),
+            (even_d(4), [56, 57]),
+            (without_labels(even_d(4), ["S4", "S5"]), []),
+            (COLLAPSED_W3, [0, 1, 2]),
+        ],
+        ids=["pair222", "c333", "even4", "even4-ablated", "collapsed-w3"],
+    )
+    def test_certify_constructs_no_state(self, monkeypatch, S, failures):
+        # every check, the census of the tuples that are not coordinately
+        # different (even4's S5, both collapsed tuples) included, and the
+        # oracle read the kets
+        _forbid(monkeypatch, ghznl.state_model.StateVector)
+        r = certify(S, method="both")
+        assert r.hypotheses.entanglement_failures == failures
 
     def test_one_walk_counts_every_cut(self, monkeypatch, capsys):
         # certify and `ghznl graph --partition all` each count the three
@@ -382,8 +408,7 @@ class TestOnePreparationPass:
 
     def test_orthogonality_check_expands_no_state(self, monkeypatch):
         # even4's ket-sharing tuples 16, 27 and 17, 28 are decided from the
-        # kets; the census, which runs outside this call, still expands the
-        # tuple S5 that is not coordinately different
+        # kets
         S = even_d(4)
         _forbid(monkeypatch, ghznl.state_model.expand_tuple)
         assert check_mutual_orthogonality(S) == [

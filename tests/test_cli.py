@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from ghznl.cli import (
     EXIT_STRONGEST,
     main,
 )
-from ghznl.constructions import even_d
+from ghznl.constructions import c333, even_d
 from ghznl.state_model import Partition, parse_state_set, write_state_set
 from test_constructions import without_labels
 
@@ -68,6 +69,26 @@ class TestCertify:
         assert doc["agreement"] is True
         assert len(doc["input_sha256"]) == 64
         assert "verdict: StrongestNonlocal" in err
+
+    def test_only_certify_serializes_a_construction(self, monkeypatch, capsys):
+        # graph and oracle have no use for a generated set's document text;
+        # certify hashes the text that generate writes
+        written = []
+
+        def counted(S):
+            written.append(S)
+            return write_state_set(S)
+
+        monkeypatch.setattr(cli, "write_state_set", counted)
+        for command in ("graph", "oracle"):
+            code, _, _ = run(capsys, command, "--construction", "odd", "--d", "5")
+            assert code == EXIT_STRONGEST
+        assert written == []
+        code, out, _ = run(capsys, "certify", "--construction", "c333")
+        assert code == EXIT_STRONGEST
+        text = write_state_set(c333())
+        assert json.loads(out)["input_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+        assert written == [c333()]
 
     def test_report_file(self, tmp_path, capsys):
         report = tmp_path / "report.json"

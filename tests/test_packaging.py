@@ -1,7 +1,8 @@
 """The library imports nothing outside the standard library and itself,
 graphs and oracle import nothing from each other, and the library parses as
 Python 3.10, carries no assert statements and no unused module-level
-definition; every function the benchmark traces exists."""
+definition, and names the state expansion only where it is defined; every
+function the benchmark traces exists."""
 
 import ast
 import importlib
@@ -60,6 +61,41 @@ def test_graph_route_and_oracle_stay_independent(module, other):
     path = Path(ghznl.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert other not in package_imports(tree)
+
+
+EXPANSION = {"StateVector", "expand_tuple", "expand_set"}
+
+
+def test_library_expands_no_state():
+    """StateVector, expand_tuple and expand_set are the public expansion API:
+    outside their own definitions, and the re-export in ghznl/__init__.py,
+    no line of the library names them, so no validator, the oracle or the
+    certifier can expand a state."""
+    named = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        own = {
+            id(inner)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in EXPANSION
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            named.extend(
+                f"{path.name}:{node.lineno}:{name}" for name in names if name in EXPANSION
+            )
+    assert named == []
 
 
 def test_sources_found():

@@ -23,12 +23,12 @@ from ghznl.state_model import (
     Ket,
     Partition,
     StateSet,
-    StateVector,
     SystemDims,
     check_genuine_entanglement,
     check_mutual_orthogonality,
     check_plane_containing,
     expand_set,
+    expand_tuple,
     parse_state_set,
     write_state_set,
 )
@@ -353,49 +353,16 @@ def test_nullspace_dimension_monotone_under_constraints(S):
 # --- Schmidt rank against cut-matrix elimination over F_p ----------------
 
 
-@st.composite
-def hand_built_states(draw):
-    """States on a rectangle support X1 x X2 x X3, sometimes with a few
-    cells removed.  The exponent of a ket is f1(i) + f2(j) + f3(k), plus
-    g of one pair of axes when drawn (a product across the third party's
-    cut only), and then a few cells are perturbed."""
-    order = draw(st.sampled_from([2, 3, 4, 6, 12]))
-    dims = SystemDims(*(draw(st.integers(2, 3)) for _ in range(3)))
-    axes = [
-        draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
-        for d in dims.as_tuple()
-    ]
-    cells = list(itertools.product(*axes))
-    for _ in range(draw(st.integers(0, min(2, len(cells) - 1)))):
-        cells.remove(draw(st.sampled_from(cells)))
-    exponent = st.integers(0, order - 1)
-    f = [{c: draw(exponent) for c in axis} for axis in axes]
-    pair = draw(st.sampled_from([None, (0, 1), (1, 2), (0, 2)]))
-    g = {} if pair is None else {
-        (x[pair[0]], x[pair[1]]): draw(exponent) for x in cells
-    }
-    exponents = {
-        Ket(*x): (
-            sum(f[a][x[a]] for a in range(3))
-            + (0 if pair is None else g[x[pair[0]], x[pair[1]]])
-        ) % order
-        for x in cells
-    }
-    for _ in range(draw(st.integers(0, 2))):
-        ket = draw(st.sampled_from(sorted(exponents)))
-        exponents[ket] = (exponents[ket] + draw(exponent)) % order
-    return StateVector(dims, exponents, order=order)
-
-
 def reference_genuinely_entangled(s):
     """Rank >= 2 on every cut, by SparseEliminator on the cut matrix of
     residues r^e over the prime field whose p exceeds the norm bound of a
     2x2 minor."""
     p, r = prime_field(s.order, norm_bound(s.order, 2))
     for part in Partition:
+        a, b = part.kept_axes
         columns, rows = {}, {}
         for ket, e in s.exponents.items():
-            col = columns.setdefault(part.project(ket), len(columns))
+            col = columns.setdefault((ket[a], ket[b]), len(columns))
             rows.setdefault(ket[part.cut_axis], {})[col] = pow(r, e, p)
         elim = SparseEliminator(p)
         for row in rows.values():
@@ -403,17 +370,6 @@ def reference_genuinely_entangled(s):
         if elim.rank < 2:
             return False
     return True
-
-
-@settings(**SETTINGS)
-@given(
-    st.one_of(
-        hand_built_states(),
-        overlapping_sets().flatmap(lambda S: st.sampled_from(expand_set(S))),
-    )
-)
-def test_schmidt_rank_from_exponents_matches_elimination(s):
-    assert check_genuine_entanglement(s) == reference_genuinely_entangled(s)
 
 
 def dense_rank(rows, n, p):
@@ -1007,6 +963,42 @@ def test_one_shared_ket_makes_every_state_pair_non_orthogonal(S):
     assert check_mutual_orthogonality(S) == sorted(expected)
     for p in Partition:
         assert build_constraints(S, p).skipped_pairs == 2 * len(expected)
+
+
+@st.composite
+def rectangle_sets(draw):
+    """One weight-4 tuple whose kets fill a 2x2 rectangle of one cut's
+    matrix, in drawn order: a row factorizes across that cut exactly when
+    its exponents are additive over the rectangle.  The other strategies
+    almost never draw such a tuple."""
+    dims = SystemDims(*(draw(st.integers(4, 5)) for _ in range(3)))
+    bounds = dims.as_tuple()
+    part = draw(st.sampled_from(list(Partition)))
+    x = part.cut_axis
+    a, b = part.kept_axes
+    xs = draw(st.lists(st.integers(0, bounds[x] - 1), min_size=2, max_size=2, unique=True))
+    kept = st.tuples(st.integers(0, bounds[a] - 1), st.integers(0, bounds[b] - 1))
+    ys = draw(st.lists(kept, min_size=2, max_size=2, unique=True))
+    kets = []
+    for cx, (ca, cb) in itertools.product(xs, ys):
+        k = [0, 0, 0]
+        k[x], k[a], k[b] = cx, ca, cb
+        kets.append(Ket(*k))
+    return StateSet(dims, (GhzTuple(4, tuple(draw(st.permutations(kets)))),))
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        collapsed_sets(), overlapping_sets(), one_shared_ket_sets(), rectangle_sets()
+    )
+)
+def test_schmidt_rank_from_exponents_matches_elimination(S):
+    """Every row of every tuple, read off the kets, against the expanded
+    state's cut matrices; weights 2-4."""
+    for t in S.tuples:
+        for n, s in enumerate(expand_tuple(t, S.dims)):
+            assert check_genuine_entanglement(t, n) == reference_genuinely_entangled(s)
 
 
 @settings(**SETTINGS)

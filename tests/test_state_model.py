@@ -8,7 +8,6 @@ from ghznl.state_model import (
     Ket,
     StateSet,
     StateSetFormatError,
-    StateVector,
     SystemDims,
     check_genuine_entanglement,
     check_mutual_orthogonality,
@@ -303,37 +302,39 @@ class TestSpecialSet:
 
 class TestGenuineEntanglement:
     def test_ghz_state(self):
-        s = expand_tuple(ghz_pair((0, 0, 0), (1, 1, 1)), D3)[0]
-        assert check_genuine_entanglement(s)
+        t = ghz_pair((0, 0, 0), (1, 1, 1))
+        assert check_genuine_entanglement(t, 0)
+        assert check_genuine_entanglement(t, 1)
 
     def test_product_state(self):
-        s = StateVector(D3, {Ket(0, 0, 0): 0})
-        assert not check_genuine_entanglement(s)
+        # (|000> +- |100>)/sqrt(2) = (|0> +- |1>)/sqrt(2) x |0> x |0>
+        t = ghz_pair((0, 0, 0), (1, 0, 0))
+        assert not check_genuine_entanglement(t, 0)
+        assert not check_genuine_entanglement(t, 1)
 
     def test_factorizes_across_one_cut(self):
         # (|333> + |233>)/sqrt(2) = (|3>+|2>)/sqrt(2) x |33>
-        s = expand_tuple(
-            ghz_pair((3, 3, 3), (2, 3, 3)), SystemDims(4, 4, 4)
-        )[0]
-        assert not check_genuine_entanglement(s)
+        t = ghz_pair((3, 3, 3), (2, 3, 3))
+        assert not check_genuine_entanglement(t, 0)
 
     def test_weight3_ghz_states_are_genuinely_entangled(self):
         t = GhzTuple(3, (Ket(0, 0, 0), Ket(1, 1, 1), Ket(2, 2, 2)))
-        states = expand_tuple(t, D3)
-        assert all(s.order == 3 for s in states)
-        assert all(check_genuine_entanglement(s) for s in states)
+        assert all(check_genuine_entanglement(t, n) for n in range(3))
 
     def test_complex_state_factorizes_across_cut_c(self):
-        # (|00> + w|11>)_AB x (|0> + i|1>)_C / 2 with w = exp(2 pi i / 3):
-        # Schmidt rank 2 on cuts A and B, 1 on cut C.  As powers of
-        # exp(2 pi i / 12): w = 4 and i = 3
-        exponents = {Ket(a, a, c): 4 * a + 3 * c for a in (0, 1) for c in (0, 1)}
-        s = StateVector(D3, exponents, order=12)
-        assert not check_genuine_entanglement(s)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            check_genuine_entanglement(StateVector(D3, {}))
+        # row 1 of this weight-4 tuple is (|00> - |11>)_AB x (|0> + i|1>)_C / 2:
+        # exponent m = 2a + c on ket (a, a, c), as a power of i.  Schmidt
+        # rank 2 on cuts A and B, 1 on cut C; rows 0, 2 and 3 factorize
+        # across cut C alike
+        t = GhzTuple(4, (Ket(0, 0, 0), Ket(0, 0, 1), Ket(1, 1, 0), Ket(1, 1, 1)))
+        assert not any(check_genuine_entanglement(t, n) for n in range(4))
+        # the same kets in another order keep cut C's rectangle, but the
+        # exponents 0, n, 3n, 2n of its cells (k, ij) = (0, 00), (1, 00),
+        # (0, 11), (1, 11) are additive only for even n
+        t = GhzTuple(4, (Ket(0, 0, 0), Ket(0, 0, 1), Ket(1, 1, 1), Ket(1, 1, 0)))
+        assert [check_genuine_entanglement(t, n) for n in range(4)] == [
+            False, True, False, True,
+        ]
 
     def test_census_on_c333(self):
         assert genuine_entanglement_census(c333()) == []
