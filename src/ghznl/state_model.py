@@ -87,54 +87,84 @@ class Partition(Enum):
         return (t[a], t[b])
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool: JSON's true and false parse as Python
+    bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class GhzTuple:
-    """w distinct kets; expands to w GHZ-like states."""
+    """w distinct kets; expands to w GHZ-like states.  Built in code or
+    parsed, a tuple checks each rule here, each ket once: an integer weight
+    >= 2, exactly weight distinct kets of three integers (a bool is not
+    one), and a label None or a string.  Each message opens with the bad
+    field's path: weight, kets, kets[k] or label."""
 
     weight: int
     kets: tuple[Ket, ...]
     label: Optional[str] = None
 
     def __post_init__(self):
-        try:  # a Ket is kept as given
-            kets = tuple(k if type(k) is Ket else Ket(*k) for k in self.kets)
+        w = self.weight
+        if not _is_int(w) or w < 2:
+            raise ValueError(f"weight: expected an integer >= 2, got {w!r}")
+        try:
+            given = tuple(self.kets)
         except TypeError:
-            raise ValueError(f"kets must be three values each: {self.kets}") from None
-        object.__setattr__(self, "kets", kets)
-        if not all(_is_int(x) for k in kets for x in k):
-            raise ValueError(f"ket coordinates must be integers: {kets}")
-        self._check_weight()
-
-    def _check_weight(self) -> None:
-        if not _is_int(self.weight) or self.weight < 2:
-            raise ValueError(f"tuple weight must be an integer >= 2, got {self.weight}")
-        if len(self.kets) != self.weight:
+            raise ValueError(f"kets: expected a list, got {self.kets!r}") from None
+        if len(given) != w:
+            raise ValueError(f"kets: weight {w} but {len(given)} kets")
+        kets = []
+        for m, k in enumerate(given):
+            try:
+                x, y, z = k
+            except (TypeError, ValueError):  # not three values
+                x = y = z = None
+            plain = type(x) is type(y) is type(z) is int  # the common case
+            if not (plain or all(map(_is_int, (x, y, z)))):
+                raise ValueError(f"kets[{m}]: expected a list of 3 integers, got {k!r}")
+            kets.append(k if type(k) is Ket else Ket(x, y, z))  # a Ket is kept
+        kets = tuple(kets)
+        if len(set(kets)) != w:
+            m = next(m for m, k in enumerate(kets) if kets.index(k) < m)
             raise ValueError(
-                f"tuple declares weight {self.weight} but has {len(self.kets)} kets"
+                f"kets[{m}]: ket {tuple(kets[m])} repeats "
+                f"kets[{kets.index(kets[m])}]; the kets of a tuple must be distinct"
             )
-        if len(set(self.kets)) != self.weight:
-            raise ValueError(f"tuple kets must be distinct: {self.kets}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError(f"label: expected a string, got {self.label!r}")
+        object.__setattr__(self, "kets", kets)
 
 
 @dataclass(frozen=True)
 class StateSet:
+    """Tuples in their dims.  The set checks the rules that need the dims:
+    every ket in bounds (tuples[i].kets[k]), then every weight at most the
+    smallest dimension (tuples[i].weight), each in tuple order."""
+
     dims: SystemDims
     tuples: tuple[GhzTuple, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tuples", tuple(self.tuples))
-        for idx, t in enumerate(self.tuples):
-            self._check_weight(idx)
+        tuples = tuple(self.tuples)
+        object.__setattr__(self, "tuples", tuples)
+        d1, d2, d3 = dims = self.dims.as_tuple()
+        for idx, t in enumerate(tuples):
             for ket in t.kets:
-                if not self.dims.contains(ket):
+                i, j, k = ket
+                if not (0 <= i < d1 and 0 <= j < d2 and 0 <= k < d3):
                     raise ValueError(
-                        f"tuple {idx}: ket {tuple(ket)} out of bounds for dims "
-                        f"{self.dims.as_tuple()}"
+                        f"tuples[{idx}].kets[{t.kets.index(ket)}]: ket {tuple(ket)} "
+                        f"out of bounds for dims {dims}"
                     )
-
-    def _check_weight(self, idx: int) -> None:
-        if (w := self.tuples[idx].weight) > min(self.dims.as_tuple()):
-            raise ValueError(f"tuple {idx}: weight {w} exceeds min dimension")
+        least = min(dims)
+        for idx, t in enumerate(tuples):
+            if t.weight > least:
+                raise ValueError(
+                    f"tuples[{idx}].weight: {t.weight} exceeds the smallest "
+                    f"dimension, {least}"
+                )
 
     def __getstate__(self) -> dict:
         """The fields only: a copy computes its own facts (S.holders, a
@@ -396,15 +426,13 @@ def write_state_set(S: StateSet) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _is_int(x) -> bool:
-    """JSON integers only: true and false parse as Python bools, which are ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_state_set(text: str) -> StateSet:
-    """Parse a state-set document, raising StateSetFormatError with positions.
-    Each ket is checked here only: the tuples and the set are built without
-    __post_init__, and only their weight checks run."""
+    """Parse a state-set document, raising StateSetFormatError that opens
+    with the JSON path of the first defect.  Only what a JSON value gets
+    wrong by itself is checked here (an object, dims a list of 3 integers,
+    tuples a list of objects whose kets is a list); every other rule is the
+    constructors'.  Per-tuple defects (GhzTuple, behind tuples[i].) come
+    first, then set-level ones (StateSet), each in document order."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -425,53 +453,17 @@ def parse_state_set(text: str) -> StateSet:
     tuples_raw = doc.get("tuples")
     if not isinstance(tuples_raw, list):
         raise StateSetFormatError("tuples: expected a list")
-    d1, d2, d3 = dims_raw
     tuples = []
     for idx, t in enumerate(tuples_raw):
         if not isinstance(t, dict):
             raise StateSetFormatError(f"tuples[{idx}]: expected an object")
-        weight = t.get("weight")
-        kets_raw = t.get("kets")
-        label = t.get("label")
-        if not _is_int(weight):
-            raise StateSetFormatError(f"tuples[{idx}]: weight must be an integer")
-        if not isinstance(kets_raw, list):
-            raise StateSetFormatError(f"tuples[{idx}]: kets must be a list")
-        if len(kets_raw) != weight:
-            raise StateSetFormatError(
-                f"tuples[{idx}]: weight {weight} but {len(kets_raw)} kets"
-            )
-        kets = []
-        for kidx, k in enumerate(kets_raw):
-            if (
-                type(k) is not list
-                or len(k) != 3
-                or not (type(k[0]) is type(k[1]) is type(k[2]) is int)
-            ):
-                raise StateSetFormatError(
-                    f"tuples[{idx}].kets[{kidx}]: expected a list of 3 integers"
-                )
-            x, y, z = k
-            if not (0 <= x < d1 and 0 <= y < d2 and 0 <= z < d3):
-                raise StateSetFormatError(
-                    f"tuples[{idx}].kets[{kidx}]: ket {x, y, z} out of bounds "
-                    f"for dims {dims.as_tuple()}"
-                )
-            kets.append(Ket(x, y, z))
-        if label is not None and not isinstance(label, str):
-            raise StateSetFormatError(f"tuples[{idx}]: label must be a string")
-        tup = object.__new__(GhzTuple)  # the kets are checked above
-        tup.__dict__.update(weight=weight, kets=tuple(kets), label=label)
+        if not isinstance(kets := t.get("kets"), list):
+            raise StateSetFormatError(f"tuples[{idx}].kets: expected a list")
         try:
-            tup._check_weight()
+            tuples.append(GhzTuple(t.get("weight"), kets, t.get("label")))
         except ValueError as e:
-            raise StateSetFormatError(f"tuples[{idx}]: {e}") from e
-        tuples.append(tup)
-    S = object.__new__(StateSet)
-    S.__dict__.update(dims=dims, tuples=tuple(tuples))
+            raise StateSetFormatError(f"tuples[{idx}].{e}") from e
     try:
-        for idx in range(len(tuples)):
-            S._check_weight(idx)
+        return StateSet(dims, tuples)
     except ValueError as e:
         raise StateSetFormatError(str(e)) from e
-    return S

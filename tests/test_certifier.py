@@ -73,6 +73,18 @@ def ghz_basis_222():
     )
 
 
+# the weight-3 GHZ basis of 3x3x3: the nine tuples
+# {(i, (i + a) % 3, (i + b) % 3) : i < 3} for a, b < 3
+GHZ_BASIS_333_W3 = StateSet(
+    SystemDims(3, 3, 3),
+    tuple(
+        GhzTuple(3, tuple(Ket(i, (i + a) % 3, (i + b) % 3) for i in range(3)))
+        for a in range(3)
+        for b in range(3)
+    ),
+)
+
+
 class TestCheckHypotheses:
     def test_c333_all_pass(self):
         h = check_hypotheses(c333())
@@ -120,13 +132,37 @@ class TestCertifyViaGraphs:
         assert all(n <= 1 for n in r.partitions.values())
 
     def test_disconnected_high_weight_inconclusive(self):
-        # a single weight-4 tuple alone is not plane-containing, so restrict
-        # to connectivity by providing a plane-containing but split set
-        S = without_labels(c444_weight4(), ["B1"])
+        # the weight-3 GHZ basis of 3x3x3 meets every hypothesis of Theorem
+        # 2, but each cut splits into three components: the sufficient
+        # criterion cannot decide, and the oracle finds the set not
+        # strongest nonlocal
+        r = certify_via_graphs(GHZ_BASIS_333_W3)
+        assert r.verdict is r.graph_verdict is Verdict.INCONCLUSIVE
+        assert r.applied_theorem == 2
+        assert r.hypotheses.plane_witness == (0, 0, 0)
+        assert r.hypotheses.failed_checks() == []
+        assert all(n == 3 for n in r.partitions.values())
+        assert r.notes == [
+            "disconnected graph with high-weight tuples: the sufficient "
+            "criterion does not decide the converse"
+        ]
+        r = certify(GHZ_BASIS_333_W3, method="both")
+        assert r.graph_verdict is Verdict.INCONCLUSIVE
+        assert r.verdict is r.oracle_verdict is Verdict.NOT_STRONGEST_NONLOCAL
+        assert all(res.dimension == 3 for res in r.oracle.values())
+
+    def test_dropping_one_block_breaks_only_the_plane(self):
+        # c444w4 less its block B1: every cut stays connected and the oracle
+        # still finds the set strongest nonlocal, but no plane is contained,
+        # so the graph route does not apply
+        S = c444_weight4()
+        S = StateSet(S.dims, tuple(t for t in S.tuples if t.label != "B1"))
         r = certify_via_graphs(S)
-        # removing one block breaks the plane hypothesis or connectivity;
-        # either way the sufficient criterion must not report a positive
-        assert r.verdict is not Verdict.STRONGEST_NONLOCAL
+        assert r.verdict is Verdict.HYPOTHESES_VIOLATED
+        assert r.applied_theorem is None
+        assert r.hypotheses.plane_witness is None
+        assert all(n == 1 for n in r.partitions.values())
+        assert certify(S, method="both").verdict is Verdict.STRONGEST_NONLOCAL
 
     def test_hypotheses_gate(self):
         r = certify_via_graphs(even_d(4))

@@ -83,23 +83,20 @@ def documents(draw):
 
 
 # the field an exit-3 message opens with
-FIELD = re.compile(
-    r"dims|tuples(?:\[(\d+)\](?:\.kets\[(\d+)\])?)?|tuple (\d+)|top level"
-)
+FIELD = re.compile(r"dims|tuples(?:\[(\d+)\](?:\.kets\[(\d+)\])?)?|top level")
 
 
 def names_its_field(doc, message: str) -> bool:
     """The message opens with a field of doc: dims, the tuples list, a
-    tuple (tuples[i] or tuple i), a ket (tuples[i].kets[k]) or the top
-    level; every index it gives exists in doc."""
+    tuple (tuples[i]), a ket (tuples[i].kets[k]) or the top level; every
+    index it gives exists in doc."""
     m = FIELD.match(message)
     if m is None:
         return False
-    i, k, t = (int(g) if g is not None else None for g in m.groups())
+    i, k = (int(g) if g is not None else None for g in m.groups())
     tuples = doc.get("tuples") if isinstance(doc, dict) else None
-    if i is not None or t is not None:
-        if not isinstance(tuples, list) or (i if t is None else t) >= len(tuples):
-            return False
+    if i is not None and (not isinstance(tuples, list) or i >= len(tuples)):
+        return False
     if k is not None:
         kets = tuples[i].get("kets") if isinstance(tuples[i], dict) else None
         return isinstance(kets, list) and k < len(kets)

@@ -1,6 +1,8 @@
+import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghznl.constructions import c333, c345, c444_weight4, even_d
 from ghznl.state_model import (
@@ -25,6 +27,26 @@ D3 = SystemDims(3, 3, 3)
 
 def ghz_pair(k1, k2, label=None):
     return GhzTuple(2, (Ket(*k1), Ket(*k2)), label)
+
+
+@st.composite
+def constructible_sets(draw):
+    """Any set the constructors accept, in dims 2-5: 0-6 tuples (a tuple
+    may repeat another), each of weight 2 up to the smallest dimension,
+    of distinct kets given as Kets, tuples or lists, labelled with any
+    string or not at all."""
+    dims = SystemDims(*draw(st.lists(st.integers(2, 5), min_size=3, max_size=3)))
+    cells = list(itertools.product(*map(range, dims.as_tuple())))
+    tuples = []
+    for _ in range(draw(st.integers(0, 6))):
+        w = draw(st.integers(2, min(dims.as_tuple())))
+        kets = draw(
+            st.lists(st.sampled_from(cells), min_size=w, max_size=w, unique=True)
+        )
+        form = draw(st.sampled_from([Ket._make, tuple, list]))
+        label = draw(st.none() | st.text(max_size=8))
+        tuples.append(GhzTuple(w, [form(k) for k in kets], label))
+    return StateSet(dims, tuples)
 
 
 class TestSystemDims:
@@ -67,14 +89,70 @@ class TestGhzTuple:
 
     @pytest.mark.parametrize("ket", [(1, 1), (1, 1, 1, 1), 5])
     def test_ket_must_be_three_values(self, ket):
-        with pytest.raises(ValueError, match="three values") as info:
+        with pytest.raises(
+            ValueError, match=r"kets\[1\]: expected a list of 3 integers"
+        ) as info:
             GhzTuple(2, ((0, 0, 0), ket))
         assert str(ket) in str(info.value)
+
+    @pytest.mark.parametrize("label", [5, 2.5, b"S1", ["S1"]])
+    def test_non_string_label_rejected(self, label):
+        # write_state_set wrote such a tuple as a document that
+        # parse_state_set refused
+        with pytest.raises(ValueError) as info:
+            GhzTuple(2, ((0, 0, 0), (1, 1, 1)), label=label)
+        assert str(info.value) == f"label: expected a string, got {label!r}"
+
+    @pytest.mark.parametrize(
+        "weight, kets, label, message",
+        [
+            (1, ((0, 0, 0),), None, "weight: expected an integer >= 2, got 1"),
+            ("2", ((0, 0, 0), (1, 1, 1)), None,
+             "weight: expected an integer >= 2, got '2'"),
+            (2, 5, None, "kets: expected a list, got 5"),
+            (3, ((0, 0, 0), (1, 1, 1)), None, "kets: weight 3 but 2 kets"),
+            (3, ((0, 0, 0), (1, 1, 1), (2, 2, False)), None,
+             "kets[2]: expected a list of 3 integers, got (2, 2, False)"),
+            (3, ((0, 0, 0), (1, 1, 1), (0, 0, 0)), None,
+             "kets[2]: ket (0, 0, 0) repeats kets[0]; "
+             "the kets of a tuple must be distinct"),
+        ],
+        ids=["weight-1", "string-weight", "kets-not-iterable", "ket-count",
+             "bool-coordinate", "repeated-ket"],
+    )
+    def test_message_names_the_field(self, weight, kets, label, message):
+        with pytest.raises(ValueError) as info:
+            GhzTuple(weight, kets, label)
+        assert str(info.value) == message
+
+    def test_int_subclass_coordinates_accepted(self):
+        class Coord(int):
+            pass
+
+        t = GhzTuple(2, ((Coord(0), 0, 0), (1, 1, Coord(1))))
+        assert t.kets == (Ket(0, 0, 0), Ket(1, 1, 1))
 
     def test_coordinately_different(self):
         D4 = SystemDims(4, 4, 4)
         assert StateSet(D4, (ghz_pair((0, 0, 0), (1, 1, 1)),)).spread == (0b111,)
         assert StateSet(D4, (ghz_pair((3, 3, 3), (2, 3, 3)),)).spread == (0b001,)
+
+
+class TestStateSet:
+    @pytest.mark.parametrize(
+        "tuples, message",
+        [
+            ((ghz_pair((0, 0, 0), (1, 1, 1)), ghz_pair((2, 2, 2), (1, 3, 1))),
+             "tuples[1].kets[1]: ket (1, 3, 1) out of bounds for dims (3, 3, 3)"),
+            ((GhzTuple(4, ((0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 2))),),
+             "tuples[0].weight: 4 exceeds the smallest dimension, 3"),
+        ],
+        ids=["out-of-bounds", "weight-above-min-dimension"],
+    )
+    def test_message_names_the_field(self, tuples, message):
+        with pytest.raises(ValueError) as info:
+            StateSet(D3, tuples)
+        assert str(info.value) == message
 
 
 class TestExpandTuple:
@@ -345,6 +423,11 @@ class TestDocumentFormat:
     def test_round_trip(self, S):
         assert parse_state_set(write_state_set(S)) == S
 
+    @settings(max_examples=200, deadline=None)
+    @given(constructible_sets())
+    def test_round_trip_of_every_constructible_set(self, S):
+        assert parse_state_set(write_state_set(S)) == S
+
     def test_out_of_bounds_ket_named(self):
         text = '{"dims": [3,3,3], "tuples": [{"weight": 2, "kets": [[0,0,0],[5,0,0]]}]}'
         with pytest.raises(StateSetFormatError, match=r"tuples\[0\].kets\[1\]"):
@@ -372,7 +455,7 @@ class TestDocumentFormat:
         [
             ('{"dims": [2,2,true], "tuples": []}', "dims"),
             ('{"dims": [2,2,2], "tuples": [{"weight": true, "kets": [[0,0,0]]}]}',
-             r"tuples\[0\]: weight"),
+             r"tuples\[0\]\.weight: expected an integer"),
             ('{"dims": [2,2,2], "tuples": [{"weight": 2, '
              '"kets": [[0,0,0],[1,true,1]]}]}', r"tuples\[0\].kets\[1\]"),
         ],
@@ -391,28 +474,28 @@ class TestDocumentFormat:
         "tuple_text, message",
         [
             ('{"weight": 2, "kets": [[0,0,0], 5]}',
-             "tuples[0].kets[1]: expected a list of 3 integers"),
+             "tuples[0].kets[1]: expected a list of 3 integers, got 5"),
             ('{"weight": 2, "kets": [[0,0,0],[1,1]]}',
-             "tuples[0].kets[1]: expected a list of 3 integers"),
+             "tuples[0].kets[1]: expected a list of 3 integers, got [1, 1]"),
             ('{"weight": 2, "kets": [[0,0,0],[1.0,1,1]]}',
-             "tuples[0].kets[1]: expected a list of 3 integers"),
+             "tuples[0].kets[1]: expected a list of 3 integers, got [1.0, 1, 1]"),
             ('{"weight": 2, "kets": [[0,0,0],[1,"1",1]]}',
-             "tuples[0].kets[1]: expected a list of 3 integers"),
+             "tuples[0].kets[1]: expected a list of 3 integers, got [1, '1', 1]"),
             ('{"weight": 2, "kets": [[0,0,0],[1,1,true]]}',
-             "tuples[0].kets[1]: expected a list of 3 integers"),
+             "tuples[0].kets[1]: expected a list of 3 integers, got [1, 1, True]"),
             ('{"weight": 2, "kets": [[0,0,0],[1,-1,1]]}',
              "tuples[0].kets[1]: ket (1, -1, 1) out of bounds for dims (3, 3, 3)"),
             ('{"weight": 2, "kets": [[0,0,0],[1,1,3]]}',
              "tuples[0].kets[1]: ket (1, 1, 3) out of bounds for dims (3, 3, 3)"),
             ('{"weight": 2, "kets": [[0,0,0],[0,0,0]]}',
-             "tuples[0]: tuple kets must be distinct: "
-             "(Ket(i=0, j=0, k=0), Ket(i=0, j=0, k=0))"),
+             "tuples[0].kets[1]: ket (0, 0, 0) repeats kets[0]; "
+             "the kets of a tuple must be distinct"),
             ('{"weight": 1, "kets": [[0,0,0]]}',
-             "tuples[0]: tuple weight must be an integer >= 2, got 1"),
+             "tuples[0].weight: expected an integer >= 2, got 1"),
             ('{"weight": 4, "kets": [[0,0,0],[1,1,1],[2,2,2],[0,1,2]]}',
-             "tuple 0: weight 4 exceeds min dimension"),
+             "tuples[0].weight: 4 exceeds the smallest dimension, 3"),
             ('{"weight": 2, "kets": [[0,0,0],[1,1,1]], "label": 7}',
-             "tuples[0]: label must be a string"),
+             "tuples[0].label: expected a string, got 7"),
             ("[[0,0,0],[1,1,1]]", "tuples[0]: expected an object"),
         ],
         ids=[
@@ -438,11 +521,12 @@ class TestDocumentFormat:
              "dims: local dimensions must be integers >= 2, got 1"),
             ('{"dims": [3, 3, 3], "tuples": {}}', "tuples: expected a list"),
             ('{"dims": [3, 3, 3], "tuples": [{"weight": "2", '
-             '"kets": [[0,0,0],[1,1,1]]}]}', "tuples[0]: weight must be an integer"),
+             '"kets": [[0,0,0],[1,1,1]]}]}',
+             "tuples[0].weight: expected an integer >= 2, got '2'"),
             ('{"dims": [3, 3, 3], "tuples": [{"weight": 2, '
-             '"kets": "[[0,0,0],[1,1,1]]"}]}', "tuples[0]: kets must be a list"),
+             '"kets": "[[0,0,0],[1,1,1]]"}]}', "tuples[0].kets: expected a list"),
             ('{"dims": [3, 3, 3], "tuples": [{"weight": 3, '
-             '"kets": [[0,0,0],[1,1,1]]}]}', "tuples[0]: weight 3 but 2 kets"),
+             '"kets": [[0,0,0],[1,1,1]]}]}', "tuples[0].kets: weight 3 but 2 kets"),
             ('{"dims": [3, 3, 3], "tuples": [{"weight": 2, "kets": [[0,0,0],[1,1,1]]}, '
              '{"weight": 2, "kets": [[2,2,2],[1,3,1]]}]}',
              "tuples[1].kets[1]: ket (1, 3, 1) out of bounds for dims (3, 3, 3)"),
@@ -470,6 +554,28 @@ class TestDocumentFormat:
         with pytest.raises(StateSetFormatError) as info:
             parse_state_set(text)
         assert str(info.value) == (
-            "tuples[1]: tuple kets must be distinct: "
-            "(Ket(i=0, j=0, k=0), Ket(i=0, j=0, k=0))"
+            "tuples[1].kets[1]: ket (0, 0, 0) repeats kets[0]; "
+            "the kets of a tuple must be distinct"
         )
+
+    @pytest.mark.parametrize(
+        "tuples, message",
+        [
+            # tuple 0 is out of bounds, tuple 1 repeats a ket
+            (('{"weight": 2, "kets": [[0,0,0],[0,3,0]]}',
+              '{"weight": 2, "kets": [[1,1,1],[1,1,1]]}'),
+             "tuples[1].kets[1]: ket (1, 1, 1) repeats kets[0]; "
+             "the kets of a tuple must be distinct"),
+            # tuple 0 is above the smallest dimension, tuple 1 out of bounds
+            (('{"weight": 4, "kets": [[0,0,0],[1,1,1],[2,2,2],[0,1,2]]}',
+              '{"weight": 2, "kets": [[0,0,0],[3,1,1]]}'),
+             "tuples[1].kets[1]: ket (3, 1, 1) out of bounds for dims (3, 3, 3)"),
+        ],
+        ids=["per-tuple-before-bounds", "bounds-before-weight"],
+    )
+    def test_set_level_defects_are_reported_after_per_tuple_ones(
+        self, tuples, message
+    ):
+        with pytest.raises(StateSetFormatError) as info:
+            parse_state_set(self.doc(*tuples))
+        assert str(info.value) == message
