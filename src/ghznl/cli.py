@@ -4,6 +4,9 @@ Exit codes: 0 StrongestNonlocal, 1 NotStrongestNonlocal, 2 Inconclusive or
 HypothesesViolated (or a resource-guard refusal), 3 invalid input/parameters
 or a file that cannot be read or written, 4 an internal error (any other
 exception; the traceback goes to stderr).
+
+Each output file is overwritten in place and cut to length, never truncated
+to zero first; `input_sha256` hashes the input file's bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -74,19 +78,34 @@ def _add_force_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_set(args) -> tuple[StateSet, Optional[str]]:
-    """The input set, and the text read for --input (None for --construction)."""
+def _write(path: Path, text: str) -> None:
+    """Every output file is written here. Opening an existing file with
+    O_TRUNC waits on the filesystem, so the file is overwritten and its tail
+    cut only when it was longer (a device or pipe is never truncated)."""
+    data = text.encode("utf-8")
+    without_trunc = lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)
+    with open(path, "wb", opener=without_trunc) as f:
+        longer = os.fstat(f.fileno()).st_size > len(data)
+        f.write(data)
+        if longer:
+            f.truncate()
+
+
+def _load_set(args) -> tuple[StateSet, Optional[bytes]]:
+    """The input set, and the bytes read for --input (None for --construction)."""
     if (args.input is None) == (args.construction is None):
         raise CliError("exactly one of --input or --construction is required")
     if args.input is not None:
         if args.d is not None:
             raise CliError("--input takes no --d")
         try:
-            text = args.input.read_text(encoding="utf-8")
+            data = args.input.read_bytes()
+            # newlines translated as a text-mode read would
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except (OSError, UnicodeDecodeError) as e:
             raise CliError(f"cannot read {args.input}: {e}") from e
         try:
-            return parse_state_set(text), text
+            return parse_state_set(text), data
         except StateSetFormatError as e:
             raise CliError(f"{args.input}: {e}") from e
     try:
@@ -106,7 +125,7 @@ def cmd_generate(args) -> int:
     S, _ = _load_set(args)
     text = write_state_set(S)
     if args.output is not None:
-        args.output.write_text(text, encoding="utf-8")
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     print(
@@ -118,14 +137,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    S, text = _load_set(args)
-    text = write_state_set(S) if text is None else text
+    S, data = _load_set(args)
+    data = write_state_set(S).encode("utf-8") if data is None else data
     report = certify(S, method=args.method, force=args.force)
     doc = report_to_dict(report)
-    doc["input_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    doc["input_sha256"] = hashlib.sha256(data).hexdigest()
     out = json.dumps(doc, indent=2) + "\n"
     if args.report is not None:
-        args.report.write_text(out, encoding="utf-8")
+        _write(args.report, out)
     else:
         sys.stdout.write(out)
     print(f"verdict: {report.verdict.value}", file=sys.stderr)
@@ -144,7 +163,7 @@ def cmd_graph(args) -> int:
             args.output_dir.mkdir(parents=True, exist_ok=True)
             kind = "path" if args.path_subgraph else "full"
             path = args.output_dir / f"graph_{kind}_{p.value}.dot"
-            path.write_text(dot, encoding="utf-8")
+            _write(path, dot)
             outputs.append(path)
         else:
             sys.stdout.write(dot)
@@ -170,7 +189,7 @@ def cmd_oracle(args) -> int:
         cs = systems[p]
         if args.dump_system is not None:
             path = Path(f"{args.dump_system}_{p.value}.txt")
-            path.write_text(dump_system(cs), encoding="utf-8")
+            _write(path, dump_system(cs))
             print(f"wrote {path}", file=sys.stderr)
         ns = nullspace(cs)
         verdict = "trivial-only" if ns.trivial_only else "nontrivial-exists"

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 
 import pytest
 
@@ -146,6 +148,35 @@ class TestCertify:
             capsys, "certify", "--input", str(tmp_path / "absent.json")
         )
         assert code == EXIT_INVALID
+
+    def test_crlf_input_hashes_the_file_bytes(self, tmp_path, capsys):
+        # the report differs from the LF file's only in input_sha256, the
+        # sha256 of the bytes on disk
+        text = write_state_set(c333())
+        crlf = text.replace("\n", "\r\n")
+        reports = {}
+        for name, data in [("lf", text.encode()), ("crlf", crlf.encode())]:
+            doc = tmp_path / f"{name}.json"
+            doc.write_bytes(data)
+            code, out, _ = run(capsys, "certify", "--input", str(doc))
+            assert code == EXIT_STRONGEST
+            reports[name] = json.loads(out)
+            assert reports[name].pop("input_sha256") == hashlib.sha256(data).hexdigest()
+        assert reports["crlf"] == reports["lf"]
+
+    def test_crlf_parse_error_matches_lf(self, tmp_path, capsys):
+        # newlines are read as in text mode, so a JSON error names the same
+        # line, column and character as in the LF file
+        lines = ["{", '"dims": [3, 3, 3],', '"tuples": [}']
+        errors = []
+        for newline in ("\n", "\r\n"):
+            doc = tmp_path / "doc.json"
+            doc.write_bytes(newline.join(lines).encode())
+            code, _, err = run(capsys, "certify", "--input", str(doc))
+            assert code == EXIT_INVALID
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert "line 3 column 12 (char 32)" in errors[0]
 
     def test_non_utf8_input(self, tmp_path, capsys):
         doc = tmp_path / "latin1.json"
@@ -414,23 +445,113 @@ def test_d_rejected_with_input(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, target",
     [
-        ["generate", "--construction", "c333", "--output"],
-        ["certify", "--construction", "c333", "--report"],
-        ["graph", "--construction", "c333", "--output-dir"],
-        ["oracle", "--construction", "c333", "--dump-system"],
+        (["generate", "--construction", "c333", "--output"], "blocker/out"),
+        (["certify", "--construction", "c333", "--report"], "blocker/out"),
+        (["graph", "--construction", "c333", "--output-dir"], "blocker/out"),
+        (["oracle", "--construction", "c333", "--dump-system"], "blocker/out"),
+        (["certify", "--construction", "c333", "--report"], "."),
     ],
-    ids=lambda argv: argv[0],
+    ids=["generate", "certify", "graph", "oracle", "certify-directory"],
 )
-def test_unwritable_output(tmp_path, capsys, argv):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    code, out, err = run(capsys, *argv, str(blocker / "out"))
+def test_unwritable_output(tmp_path, capsys, argv, target):
+    # a path under a plain file, or a directory given as the report
+    (tmp_path / "blocker").write_text("")
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, str(path))
     assert code == EXIT_INVALID
     assert out == ""
     assert err.startswith("error: ")
+    assert str(path) in err
     assert err.count("\n") == 1
+
+
+# each output option, and the files it writes under a path given to it
+OUTPUTS = {
+    "generate": (["generate", "--construction", "c333", "--output"], ["out"]),
+    "certify": (["certify", "--construction", "c333", "--report"], ["out"]),
+    "graph": (
+        ["graph", "--construction", "c333", "--output-dir"],
+        [f"out/graph_full_{p.value}.dot" for p in Partition],
+    ),
+    "oracle": (
+        ["oracle", "--construction", "c333", "--dump-system"],
+        [f"out_{p.value}.txt" for p in Partition],
+    ),
+}
+
+
+def written(tmp_path, capsys, name) -> dict[str, bytes]:
+    """The files one output option writes under tmp_path, by relative name."""
+    argv, files = OUTPUTS[name]
+    code, _, _ = run(capsys, *argv, str(tmp_path / "out"))
+    assert code == EXIT_STRONGEST
+    return {f: (tmp_path / f).read_bytes() for f in files}
+
+
+class TestOneWriter:
+    """Every output file is overwritten in place and cut to length: it is
+    never opened with O_TRUNC, so it stays the same file."""
+
+    @pytest.mark.parametrize("name", OUTPUTS)
+    def test_longer_stale_file_holds_the_new_bytes(self, tmp_path, capsys, name):
+        (tmp_path / "fresh").mkdir()
+        fresh = written(tmp_path / "fresh", capsys, name)
+        stale = tmp_path / "stale"
+        for f, data in fresh.items():
+            (stale / f).parent.mkdir(parents=True, exist_ok=True)
+            (stale / f).write_bytes(b"stale\n" * (len(data) + 1))
+        assert written(stale, capsys, name) == fresh
+
+    @pytest.mark.parametrize("name", OUTPUTS)
+    def test_opened_once_without_trunc(self, tmp_path, capsys, monkeypatch, name):
+        opened = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        files = written(tmp_path, capsys, name)
+        assert sorted(p for p, _ in opened) == sorted(str(tmp_path / f) for f in files)
+        for _, flags in opened:
+            assert flags & os.O_ACCMODE == os.O_WRONLY
+            assert flags & os.O_CREAT
+            assert not flags & os.O_TRUNC
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_report_to_dev_null(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "--construction", "c333", "--report", "/dev/null"
+        )
+        assert code == EXIT_STRONGEST
+        assert out == ""
+        assert err == "verdict: StrongestNonlocal\n"
+
+    def test_symlinked_report_written_through(self, tmp_path, capsys):
+        _, report, _ = run(capsys, "certify", "--construction", "c333")
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("stale\n" * 1000)
+        link.symlink_to(target)
+        code, _, _ = run(
+            capsys, "certify", "--construction", "c333", "--report", str(link)
+        )
+        assert code == EXIT_STRONGEST
+        assert link.is_symlink()
+        assert target.read_text() == report
+
+    def test_existing_report_keeps_its_mode(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("stale\n" * 1000)
+        report.chmod(0o604)
+        code, _, _ = run(
+            capsys, "certify", "--construction", "c333", "--report", str(report)
+        )
+        assert code == EXIT_STRONGEST
+        assert stat.S_IMODE(report.stat().st_mode) == 0o604
+        assert json.loads(report.read_text())["verdict"] == "StrongestNonlocal"
 
 
 class TestInternalError:

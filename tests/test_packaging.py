@@ -1,8 +1,9 @@
 """The library imports nothing outside the standard library and itself,
 graphs and oracle import nothing from each other, and the library parses as
 Python 3.10, carries no assert statements and no unused module-level
-definition, and names the state expansion only where it is defined; every
-function the benchmark traces exists."""
+definition, names the state expansion only where it is defined and writes
+files only through the CLI's one writer; every function the benchmark traces
+exists."""
 
 import ast
 import importlib
@@ -96,6 +97,58 @@ def test_library_expands_no_state():
                 f"{path.name}:{node.lineno}:{name}" for name in names if name in EXPANSION
             )
     assert named == []
+
+
+WRITERS = {"write_text", "write_bytes"}
+
+
+def writing_calls(tree: ast.AST, exempt: str = "") -> list[int]:
+    """Lines that call write_text, write_bytes or the builtin open with a
+    writing mode (or a mode that is not a string constant), outside the
+    module-level function named `exempt`."""
+    own = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == exempt
+        for inner in ast.walk(node)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in own or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in WRITERS:
+            lines.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if any(
+                not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                or set(m.value) & set("wax+")
+                for m in modes
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_writing_calls_sees_every_writing_form():
+    tree = ast.parse(
+        "p.write_text(t)\nopen(p, 'w')\nopen(p, mode='ab')\nopen(p, 'r+')\n"
+        "open(p, m)\nopen(p)\nopen(p, 'rb')\np.read_text()\n"
+        "def _write(p):\n    open(p, 'wb')\n"
+    )
+    assert writing_calls(tree, exempt="_write") == [1, 2, 3, 4, 5]
+
+
+def test_cli_writes_files_only_through_its_helper():
+    """Every file the package writes goes through `cli._write`, which
+    overwrites in place and never opens with O_TRUNC, so a new output
+    cannot bring back the truncating open."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = "_write" if path.name == "cli.py" else ""
+        found.extend(f"{path.name}:{line}" for line in writing_calls(tree, exempt))
+    assert found == []
 
 
 def test_sources_found():
