@@ -105,7 +105,11 @@ def check_hypotheses(S: StateSet) -> HypothesisResults:
 
 
 def certify_via_graphs(S: StateSet) -> CertReport:
-    """Apply the connectivity criterion and report the certificate."""
+    """Apply the connectivity criterion and report the certificate.
+
+    Theorem 1 applies when every tuple has weight 2, Theorem 2 otherwise:
+    the weights are each at least 2, so S.n_states (their sum, cached) is
+    twice the number of tuples exactly when all of them are 2."""
     hyp = check_hypotheses(S)
     parts = component_counts(S)
     notes: list[str] = []
@@ -113,7 +117,7 @@ def certify_via_graphs(S: StateSet) -> CertReport:
         notes.extend(f"hypothesis failed: {c}" for c in hyp.failed_checks())
         return CertReport(hyp, parts, None, Verdict.HYPOTHESES_VIOLATED,
                           Verdict.HYPOTHESES_VIOLATED, notes=notes)
-    theorem = 1 if {t.weight for t in S.tuples} <= {2} else 2
+    theorem = 1 if S.n_states == 2 * len(S.tuples) else 2
     if all(n <= 1 for n in parts.values()):
         verdict = Verdict.STRONGEST_NONLOCAL
     elif theorem == 1:

@@ -70,6 +70,8 @@ def component_counts(S: StateSet) -> dict[Partition, int]:
     tuple projects to is a component of its own.  On each cut's own root
     list, each tuple joins its kets' indices to its first ket's root (path
     halving), which stays a root, and each merge lowers that cut's count.
+    The first ket is taken off an iterator over the tuple's kets, and the
+    loop runs on over that same iterator, so no tuple is sliced.
     The path graph has the same counts: each tuple links the same
     projections in it, as a path instead of a clique.
     """
@@ -77,8 +79,8 @@ def component_counts(S: StateSet) -> dict[Partition, int]:
     ra, rb, rc = list(range(d2 * d3)), list(range(d3 * d1)), list(range(d1 * d2))
     na, nb, nc = len(ra), len(rb), len(rc)
     for t in S.tuples:
-        kets = t.kets
-        i, j, k = kets[0]
+        kets = iter(t.kets)
+        i, j, k = next(kets)
         a, b, c = j * d3 + k, k * d1 + i, i * d2 + j
         while ra[a] != a:
             ra[a] = a = ra[ra[a]]
@@ -86,7 +88,7 @@ def component_counts(S: StateSet) -> dict[Partition, int]:
             rb[b] = b = rb[rb[b]]
         while rc[c] != c:
             rc[c] = c = rc[rc[c]]
-        for i, j, k in kets[1:]:
+        for i, j, k in kets:
             v = j * d3 + k
             while ra[v] != v:
                 ra[v] = v = ra[ra[v]]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -232,8 +233,10 @@ class StateSet:
     def shares(self, t: int) -> Counter[int]:
         """Each tuple u that shares a ket with tuple t, mapped to the number
         of kets t and u share (t to its weight): counted off S.holders on
-        each call, and not kept."""
-        held = map(self.holders.__getitem__, self.tuples[t].kets)
+        each call, and not kept.  operator.getitem probes the read-only
+        mapping in C, with no bound slot wrapper per ket."""
+        kets = self.tuples[t].kets
+        held = map(operator.getitem, itertools.repeat(self.holders), kets)
         return Counter(itertools.chain.from_iterable(held))
 
 
@@ -327,20 +330,21 @@ def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
     the number of kets, and on each axis the least coordinate c whose
     plane cells are all keys of S.holders is found by probing the cells of
     c = 0, 1, ... in turn; all() stops at a plane's first missing cell.
-    The planes of one axis are disjoint, so an axis costs at most one hit
-    per ket and one miss per coordinate: O(kets), and nothing is allocated
-    per coordinate."""
+    Each probe is operator.contains on the read-only mapping, called in C
+    with no bound slot wrapper.  The planes of one axis are disjoint, so
+    an axis costs at most one hit per ket and one miss per coordinate:
+    O(kets), and nothing is allocated per coordinate."""
     holders = S.holders
     dims = S.dims.as_tuple()
     if len(holders) * min(dims) < math.prod(dims):
         return None
-    held = holders.__contains__
     ranges = [range(d) for d in dims]
     witness = []
     for axis, d in enumerate(dims):
         before, after = ranges[:axis], ranges[axis + 1 :]
         for c in range(d):
-            if all(map(held, itertools.product(*before, (c,), *after))):
+            cells = itertools.product(*before, (c,), *after)
+            if all(map(operator.contains, itertools.repeat(holders), cells)):
                 witness.append(c)
                 break
         else:
@@ -398,13 +402,17 @@ def genuine_entanglement_census(S: StateSet) -> list[int]:
     w cells in w distinct rows and w distinct columns of the cut matrix, so
     its support is never a full rectangle and all w of its states have
     Schmidt rank >= 2 on every cut.  Only the rows of the other tuples
-    (S.spread is not 0b111) are checked, each from its tuple's kets.
+    (S.spread is not 0b111) are checked, each from its tuple's kets; a
+    special set, every spread 0b111, returns at once, with count() reading
+    the cached bits in C as check_special_set does.
     """
-    tuples, first = S.tuples, S.first
+    tuples, first, spread = S.tuples, S.first, S.spread
+    if spread.count(0b111) == len(spread):
+        return []
     return [
         first[t] + n
-        for t, spread in enumerate(S.spread)
-        if spread != 0b111
+        for t, bits in enumerate(spread)
+        if bits != 0b111
         for n in range(tuples[t].weight)
         if not check_genuine_entanglement(tuples[t], n)
     ]

@@ -85,6 +85,20 @@ GHZ_BASIS_333_W3 = StateSet(
 )
 
 
+# the 5x3x3 product basis in layers: layers 0-1 joined by nine weight-2
+# tuples and layers 2-4 by nine weight-3 tuples, each along a diagonal
+# (l + m, (x + m) % 3, (y + m) % 3)
+MIXED_W23 = StateSet(
+    SystemDims(5, 3, 3),
+    tuple(
+        GhzTuple(w, tuple(Ket(l + m, (x + m) % 3, (y + m) % 3) for m in range(w)))
+        for l, w in ((0, 2), (2, 3))
+        for x in range(3)
+        for y in range(3)
+    ),
+)
+
+
 class TestCheckHypotheses:
     def test_c333_all_pass(self):
         h = check_hypotheses(c333())
@@ -150,6 +164,14 @@ class TestCertifyViaGraphs:
         assert r.graph_verdict is Verdict.INCONCLUSIVE
         assert r.verdict is r.oracle_verdict is Verdict.NOT_STRONGEST_NONLOCAL
         assert all(res.dimension == 3 for res in r.oracle.values())
+
+    def test_mixed_weights_apply_theorem2(self):
+        # one weight above 2 is enough: 45 states in 18 tuples, not 36
+        r = certify_via_graphs(MIXED_W23)
+        assert r.hypotheses.failed_checks() == []
+        assert r.applied_theorem == 2
+        assert r.partitions == {Partition.A: 3, Partition.B: 6, Partition.C: 6}
+        assert r.verdict is Verdict.INCONCLUSIVE
 
     def test_dropping_one_block_breaks_only_the_plane(self):
         # c444w4 less its block B1: every cut stays connected and the oracle

@@ -9,7 +9,7 @@ from unittest import mock
 from hypothesis import assume, given, settings, strategies as st
 
 from ghznl.arithmetic import SparseEliminator, norm_bound, prime_field, union_find
-from ghznl.certifier import certify, check_hypotheses
+from ghznl.certifier import certify, certify_via_graphs, check_hypotheses
 from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.graphs import (
     build_graph,
@@ -635,6 +635,26 @@ def test_theorem2_converse_dimension_equals_component_count(S):
     counts = component_counts(S)
     for p in Partition:
         assert results[p].dimension == counts[p]
+
+
+@settings(**SETTINGS)
+@given(
+    st.one_of(
+        state_sets(max_tuples=4, weights=(2, 3, 4)),
+        overlapping_sets(),
+        layered_partitions(),
+    )
+)
+def test_theorem_1_applies_exactly_when_every_weight_is_2(S):
+    """Under the hypotheses the graph route applies Theorem 1 to sets of
+    weight-2 tuples only, and Theorem 2 to every other set; without them
+    it applies neither."""
+    report = certify_via_graphs(S)
+    if report.hypotheses.theorems_apply:
+        all_pairs = all(t.weight == 2 for t in S.tuples)
+        assert report.applied_theorem == (1 if all_pairs else 2)
+    else:
+        assert report.applied_theorem is None
 
 
 # --- the constraint build against the general per-entry builder ----------

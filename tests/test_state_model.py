@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ghznl.constructions import c333, c345, c444_weight4, even_d
+from ghznl import state_model
+from ghznl.constructions import c333, c345, c444_weight4, even_d, odd_d
 from ghznl.state_model import (
     GhzTuple,
     Ket,
@@ -347,7 +348,10 @@ class TestPlaneContaining:
 
     def test_probes_are_bounded_by_the_kets(self):
         """At most one hit per ket and one miss per coordinate on each axis,
-        and no coordinate beyond the number of kets is ever tried."""
+        and no coordinate beyond the number of kets is ever tried.  Every
+        probe goes through the mapping's __contains__: the exact counts
+        (none on ONE_PLANE, too few kets for a witness) show that the spy
+        sees them all."""
         probes = []
 
         class Counting(dict):
@@ -355,11 +359,12 @@ class TestPlaneContaining:
                 probes.append(ket)
                 return super().__contains__(ket)
 
-        for S in (self.ONE_PLANE, c333(), even_d(4)):
+        for S, seen in ((self.ONE_PLANE, 0), (c333(), 27), (even_d(4), 48)):
             S = StateSet(S.dims, S.tuples)
             S.__dict__["holders"] = held = Counting(S.holders)
             probes.clear()
             check_plane_containing(S)
+            assert len(probes) == seen
             assert len(probes) <= 6 * len(held)
 
 
@@ -416,6 +421,29 @@ class TestGenuineEntanglement:
 
     def test_census_on_c333(self):
         assert genuine_entanglement_census(c333()) == []
+
+    @pytest.mark.parametrize(
+        "S, rows, failures",
+        [
+            (c333(), [], []),
+            (odd_d(5), [], []),
+            (even_d(4), [(28, 0), (28, 1)], [56, 57]),
+        ],
+        ids=["c333", "odd5", "even4"],
+    )
+    def test_census_checks_only_tuples_not_spread(self, monkeypatch, S, rows, failures):
+        # a special set is not walked at all; even4 checks the two rows of
+        # its one tuple that is not coordinately different, S5 (tuple 28)
+        calls = []
+        check = state_model.check_genuine_entanglement
+
+        def spy(t, n):
+            calls.append((S.tuples.index(t), n))
+            return check(t, n)
+
+        monkeypatch.setattr(state_model, "check_genuine_entanglement", spy)
+        assert genuine_entanglement_census(S) == failures
+        assert calls == rows
 
 
 class TestDocumentFormat:
