@@ -51,22 +51,21 @@ class HypothesisResults:
 
     @property
     def theorems_apply(self) -> bool:
-        """Hypotheses shared by both connectivity theorems.
+        """Hypotheses shared by both connectivity theorems: failed_checks
+        lists none.
 
         The genuine-entanglement census is reported but does not gate the
         nonlocality verdict; it only qualifies the set as an OGES.
         """
-        return (
-            not self.special_set_offenders
-            and not self.orthogonality_violations
-            and self.plane_witness is not None
-        )
+        return not self.failed_checks()
 
     @property
     def is_oges(self) -> bool:
         return not self.entanglement_failures and not self.orthogonality_violations
 
     def failed_checks(self) -> list[str]:
+        """One line per failed hypothesis of the connectivity theorems: the
+        one place they are written."""
         failed = []
         if self.special_set_offenders:
             failed.append(

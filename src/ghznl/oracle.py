@@ -72,10 +72,10 @@ met at x, less bit i.  build_systems first checks the unknowns guard on
 cuts A, B and C, so a refusal builds nothing.  It then unpacks each ket
 (i, j, k) once to fill met on all three cuts (kept index j*d3 + k at i on
 A, k*d1 + i at j on B, i*d2 + j at k on C, in Partition.kept_axes order).
-The others, the tuples in S.sharing() or not spread on some cut, get one
-index per cut over their own kets only, x -> {other: its mask at x}, and
-at each such x the rest's kets (the remaining tuples are no one's
-partners), met[x] less the others' masks, computed once.  It then walks
+The others, in S.sharing() or check_special_set(S), get one index per
+cut over their own kets only, x -> {other: its mask at x}, and at each
+such x the rest's kets (the remaining tuples are no one's partners),
+met[x] less the others' masks, computed once.  It then walks
 the tuples once.  A tuple spread on every cut and without partners reads i
 off each ket, ORs met[x] into zeroed[i] and appends its equalities, on all
 three cuts at once.  An other reads S.shares once; per cut, each of its
@@ -108,7 +108,7 @@ from operator import or_
 from typing import Optional
 
 from .arithmetic import SparseEliminator, union_find
-from .state_model import Partition, StateSet
+from .state_model import Partition, StateSet, check_special_set
 
 RESOURCE_GUARD_UNKNOWNS = 20_000
 
@@ -212,7 +212,7 @@ def build_systems(
     tuples, spread = S.tuples, S.spread
     roots = [pow(root, e, prime) for e in range(order)]
     # the others share a ket or are not spread on some cut
-    others = S.sharing().union(t for t, s in enumerate(spread) if s != 0b111)
+    others = S.sharing().union(check_special_set(S))
     # the mask of kept indices met at each (bounds-checked) cut coordinate:
     # j*d3 + k at i on A, k*d1 + i at j on B, i*d2 + j at k on C
     ma, mb, mc = [0] * d1, [0] * d2, [0] * d3

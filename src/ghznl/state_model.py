@@ -289,19 +289,22 @@ def check_mutual_orthogonality(S: StateSet) -> list[tuple[int, int]]:
     m n L/w_t) over the shared kets k_m = k'_mu: the oracle's per-pair
     coefficient, and p exceeds every such sum's norm bound, so the test is
     exact.  With one shared ket that sum is a single root of unity, so all
-    w * w' pairs of the two tuples are listed without it.
+    w * w' pairs of the two tuples are listed without it or S.field (whose
+    prime search grows with the weights), read at the first sum needed.
     """
     if not (sharing := S.sharing()):
         return []
-    order, prime, root = S.field
-    roots = [pow(root, e, prime) for e in range(order)]
     tuples, first, holders = S.tuples, S.first, S.holders
+    roots = []  # the powers of r mod p, from S.field at the first sum
     violations = []
     for t in sharing:
         a = tuples[t]
         for u, count in S.shares(t).items():
             if u <= t:
                 continue
+            if count > 1 and not roots:
+                order, prime, root = S.field
+                roots = [pow(root, e, prime) for e in range(order)]
             b = tuples[u]
             # (m L/w_t, mu L/w_u) for each shared ket k_m = k'_mu, needed
             # only when two or more kets are shared
@@ -354,8 +357,8 @@ def check_plane_containing(S: StateSet) -> Optional[tuple[int, int, int]]:
 
 def check_special_set(S: StateSet) -> list[int]:
     """Indices of tuples that are not coordinately different (S.spread is
-    not 0b111); empty = pass.  count() reads the cached bits in C, so a
-    special set runs no Python code per tuple."""
+    not 0b111), for the census and build_systems too; empty = pass.  A
+    special set is found by count(), in C, with no Python code per tuple."""
     spread = S.spread
     if spread.count(0b111) == len(spread):
         return []
@@ -401,18 +404,14 @@ def genuine_entanglement_census(S: StateSet) -> list[int]:
     A coordinately different tuple of weight w >= 2 puts, on every cut, its
     w cells in w distinct rows and w distinct columns of the cut matrix, so
     its support is never a full rectangle and all w of its states have
-    Schmidt rank >= 2 on every cut.  Only the rows of the other tuples
-    (S.spread is not 0b111) are checked, each from its tuple's kets; a
-    special set, every spread 0b111, returns at once, with count() reading
-    the cached bits in C as check_special_set does.
+    Schmidt rank >= 2 on every cut.  Only the rows of the tuples that
+    check_special_set names are checked, each from its tuple's kets, so a
+    special set runs no Python code per tuple.
     """
-    tuples, first, spread = S.tuples, S.first, S.spread
-    if spread.count(0b111) == len(spread):
-        return []
+    tuples, first = S.tuples, S.first
     return [
         first[t] + n
-        for t, bits in enumerate(spread)
-        if bits != 0b111
+        for t in check_special_set(S)
         for n in range(tuples[t].weight)
         if not check_genuine_entanglement(tuples[t], n)
     ]

@@ -64,6 +64,17 @@ def test_graph_route_and_oracle_stay_independent(module, other):
     assert other not in package_imports(tree)
 
 
+def own_nodes(tree: ast.Module, names) -> set[int]:
+    """ids of the nodes inside the module-level functions and classes
+    named in `names`."""
+    return {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names
+        for inner in ast.walk(node)
+    }
+
+
 EXPANSION = {"StateVector", "expand_tuple", "expand_set"}
 
 
@@ -75,13 +86,7 @@ def test_library_expands_no_state():
     named = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        own = {
-            id(inner)
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name in EXPANSION
-            for inner in ast.walk(node)
-        }
+        own = own_nodes(tree, EXPANSION)
         for node in ast.walk(tree):
             if id(node) in own:
                 continue
@@ -106,12 +111,7 @@ def writing_calls(tree: ast.AST, exempt: str = "") -> list[int]:
     """Lines that call write_text, write_bytes or the builtin open with a
     writing mode (or a mode that is not a string constant), outside the
     module-level function named `exempt`."""
-    own = {
-        id(inner)
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == exempt
-        for inner in ast.walk(node)
-    }
+    own = own_nodes(tree, {exempt})
     lines = []
     for node in ast.walk(tree):
         if id(node) in own or not isinstance(node, ast.Call):
@@ -148,6 +148,46 @@ def test_cli_writes_files_only_through_its_helper():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         exempt = "_write" if path.name == "cli.py" else ""
         found.extend(f"{path.name}:{line}" for line in writing_calls(tree, exempt))
+    assert found == []
+
+
+def spread_tests(tree: ast.Module, exempt: str = "check_special_set") -> list[int]:
+    """Lines that compare a value with 0b111, S.spread's mark of a
+    coordinately different tuple, or count it, outside the module-level
+    function named `exempt`."""
+    own = own_nodes(tree, {exempt})
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in own:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "count":
+            operands = node.args
+        else:
+            continue
+        values = [getattr(o, "value", None) for o in operands]
+        if any(type(v) is int and v == 0b111 for v in values):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_spread_tests_sees_every_form():
+    tree = ast.parse(
+        "a != 0b111\n7 == b\nx.count(0b111)\nc < 7 <= d\na != 3\ny.count(3)\n"
+        "f(7)\nz = v & 7\ndef check_special_set(s):\n    return s != 0b111\n"
+    )
+    assert spread_tests(tree) == [1, 2, 3, 4]
+
+
+def test_only_check_special_set_tests_spread():
+    """check_special_set is the one code that names the tuples that are not
+    coordinately different: the census and build_systems walk its list, so
+    a change to the special-set rule has one copy to change."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(f"{path.name}:{line}" for line in spread_tests(tree))
     assert found == []
 
 

@@ -21,6 +21,7 @@ from ghznl.state_model import (
     parse_state_set,
     write_state_set,
 )
+from test_certifier import one_common_ket_fan
 from test_properties import states_orthogonal
 
 D3 = SystemDims(3, 3, 3)
@@ -248,6 +249,23 @@ class TestMutualOrthogonality:
         t = ghz_pair((0, 0, 0), (1, 1, 1))
         S = StateSet(D3, (t, ghz_pair((0, 0, 0), (1, 1, 1))))
         assert check_mutual_orthogonality(S) == [(0, 2), (1, 3)]
+
+    def test_one_shared_ket_searches_no_field(self, monkeypatch):
+        # the fan's tuples share only (0, 0, 0), so every pair's overlap is
+        # one root of unity and all four state pairs of two tuples are
+        # listed without the prime field, whose search can take minutes
+        def refuse(*args):
+            raise AssertionError("prime_field called")
+
+        monkeypatch.setattr(state_model, "prime_field", refuse)
+        S = one_common_ket_fan(5)
+        assert check_mutual_orthogonality(S) == [
+            (2 * t + n, 2 * u + m)
+            for t in range(5)
+            for n in range(2)
+            for u in range(t + 1, 5)
+            for m in range(2)
+        ]
 
     def test_invariant_under_tuple_reordering(self):
         S = c345()
