@@ -6,14 +6,14 @@ or a file that cannot be read or written, 4 an internal error (any other
 exception; the traceback goes to stderr).
 
 Each output file is overwritten in place and cut to length, never truncated
-to zero first; `input_sha256` hashes the input file's bytes.
+to zero first; `input_sha256` hashes the input file's bytes. Only `certify`
+imports `hashlib`, so only it maps OpenSSL (about 3.5 MB of peak RSS).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -137,6 +137,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    import hashlib  # loads OpenSSL; only certify hashes, so only it pays
+
     S, data = _load_set(args)
     data = write_state_set(S).encode("utf-8") if data is None else data
     report = certify(S, method=args.method, force=args.force)

@@ -2,6 +2,10 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,19 @@ class TestCertify:
         assert out == ""
         assert err.startswith(f"error: cannot read {doc}: ")
         assert err.count("\n") == 1
+
+    def test_utf8_bom_is_invalid_json(self, tmp_path, capsys):
+        # recorded, not decided: the document is read as UTF-8, not
+        # UTF-8-SIG, so a leading byte order mark is a JSON error
+        doc = tmp_path / "bom.json"
+        doc.write_bytes(b"\xef\xbb\xbf" + write_state_set(c333()).encode())
+        code, out, err = run(capsys, "certify", "--input", str(doc))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == (
+            f"error: {doc}: not valid JSON: Unexpected UTF-8 BOM "
+            "(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+        )
 
     def test_input_and_construction_conflict(self, tmp_path, capsys):
         doc = tmp_path / "x.json"
@@ -587,6 +604,78 @@ class TestInternalError:
         monkeypatch.setattr(cli, "certify", interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["certify", "--construction", "c333"])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh(script: str, *args: str):
+    """What `script` prints last, as JSON, run in a new interpreter with
+    only the standard library and `src` on its path; `sys.argv[2:]` are
+    `args`."""
+    prelude = "import json, sys\nsys.path.insert(0, sys.argv[1])\n"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", prelude + textwrap.dedent(script),
+         str(SRC), *args],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestOpenSslLoadedOnlyToHash:
+    # hashlib maps OpenSSL's _hashlib, about 3.5 MB of peak RSS; only
+    # certify hashes, so only certify may load it
+
+    def test_graph_oracle_generate_never_load_it(self, tmp_path):
+        loaded = fresh(
+            """
+            import contextlib, io
+            import ghznl.cli
+            seen = {"import": "_hashlib" in sys.modules}
+            for argv in (["graph", "--construction", "c333"],
+                         ["oracle", "--construction", "c333"],
+                         ["generate", "--construction", "c333",
+                          "--output", sys.argv[2]]):
+                with contextlib.redirect_stdout(io.StringIO()), \\
+                        contextlib.redirect_stderr(io.StringIO()):
+                    assert ghznl.cli.main(argv) == 0, argv
+                seen[argv[0]] = "_hashlib" in sys.modules
+            print(json.dumps(seen))
+            """,
+            str(tmp_path / "c333.json"),
+        )
+        assert loaded == dict.fromkeys(
+            ("import", "graph", "oracle", "generate"), False
+        )
+
+    def test_certify_loads_it_and_hashes_the_file(self, tmp_path):
+        doc = tmp_path / "c333.json"
+        doc.write_text(write_state_set(c333()))
+        report = tmp_path / "report.json"
+        loaded = fresh(
+            """
+            import ghznl.cli
+            before = "_hashlib" in sys.modules
+            code = ghznl.cli.main(["certify", "--input", sys.argv[2],
+                                   "--report", sys.argv[3]])
+            print(json.dumps([before, code, "_hashlib" in sys.modules]))
+            """,
+            str(doc), str(report),
+        )
+        assert loaded == [False, EXIT_STRONGEST, True]
+        digest = hashlib.sha256(doc.read_bytes()).hexdigest()
+        assert json.loads(report.read_text())["input_sha256"] == digest
+
+    def test_package_import_loads_neither_argparse_nor_hashlib(self):
+        loaded = fresh(
+            """
+            import ghznl
+            print(json.dumps([m in sys.modules for m in
+                              ("argparse", "hashlib", "_hashlib")]))
+            """
+        )
+        assert loaded == [False, False, False]
 
 
 class TestParser:
